@@ -564,11 +564,11 @@ DistributedPublishResult publish_distributed(
       const auto [r0, r1] = plan.shard_range(s);
       obs::ScopedTimer shard_timer(obs::names::kPublishShard);
       shard_timer.attr("shard", s).attr("rows", r1 - r0);
-      const graph::ShardRows shard = util::retry_with_backoff(
+      const graph::ShardBlock shard = util::retry_with_backoff(
           options.sharded.io_retry, "shard load",
           [&] { return reader.load_shard(r0, r1); });
-      compute_shard_tile(shard, r0, r1, options.sharded.publish, calibration,
-                         pool, tile);
+      publish_rows(shard.block(), r0, r1, options.sharded.publish,
+                   calibration, tile, pool);
       const std::string path = shard_payload_path(out_path, s);
       write_payload_file(path, options.sharded.publish.params, tile);
       const auto crc = verify_payload(path, payload_bytes_for(plan, s, m));
@@ -743,10 +743,11 @@ int run_publish_worker(const util::CliArgs& args) {
       obs::ScopedTimer shard_timer(obs::names::kPublishShard);
       const auto [r0, r1] = plan.shard_range(s);
       shard_timer.attr("shard", s).attr("rows", r1 - r0);
-      const graph::ShardRows shard = util::retry_with_backoff(
+      const graph::ShardBlock shard = util::retry_with_backoff(
           opt.io_retry, "shard load",
           [&] { return reader.load_shard(r0, r1); });
-      compute_shard_tile(shard, r0, r1, opt.publish, calibration, pool, tile);
+      publish_rows(shard.block(), r0, r1, opt.publish, calibration, tile,
+                   pool);
 
       util::fault_point(util::fault_points::kIoShardWrite);
       write_payload_file(shard_payload_path(out_path, s),

@@ -10,8 +10,8 @@
 // temp name and renamed so existence ⇒ completeness). The coordinator
 // verifies every payload (size and CRC-32) before vouching for it, then
 // concatenates header + payloads in shard order — byte-identical to
-// publish_sharded and publish_to_stream for the same options, whatever the
-// worker topology or failure history.
+// publish_sharded and the in-memory publish for the same options, whatever
+// the worker topology or failure history.
 //
 // Failure handling, all observable through obs counters:
 //   - worker exits uncleanly (crash, SIGKILL, fault injection): the

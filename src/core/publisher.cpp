@@ -77,81 +77,39 @@ PublishedGraph RandomProjectionPublisher::publish_matrix(
   publish_span.attr("n", n);
   publish_span.attr("m", m);
 
-  // Resolve the kernel once per publish: the resolved variant decides the
-  // release tag, the observability gauge, and the noise path, and passing it
-  // explicitly below keeps every tile of this release on one code path even
-  // if the environment changes mid-run.
+  // The resolved kernel decides the release tag and the observability
+  // gauge; publish_rows resolves the same variant from the same options.
   const random::KernelVariant kernel =
       random::resolve_normal_kernel(options_.kernel);
   publish_span.attr("kernel", std::string(random::to_string(kernel)));
 
-  // Step 1: project, fused. P is never materialized: the kernel generates
-  // counter-based tiles of it on demand (P[i][j] = f(seed, i·m+j), see
-  // core/projection.hpp) and accumulates Y = A·P directly, so peak memory is
-  // Y plus one tile per pool thread and the generation parallelizes over
-  // column blocks of Y. The fault point stands in for the Y allocation — the
-  // largest of a publish now that P is virtual — and both it and a genuine
-  // failure surface as the typed ResourceError.
-  obs::ScopedTimer project_timer(obs::names::kPublishProject);
-  project_timer.attr("nnz", matrix.nnz());
-  linalg::DenseMatrix y;
-  try {
-    util::fault_point(util::fault_points::kAlloc);
-    const random::CounterRng p_rng = projection_counter_rng(options_.seed);
-    const ProjectionKind kind = options_.projection;
-    y = matrix.multiply_generated(
-        m,
-        [&p_rng, m, kind, kernel](std::size_t r0, std::size_t r1,
-                                  std::size_t c0, std::size_t c1,
-                                  double* out_tile) {
-          fill_projection_tile(p_rng, m, kind, r0, r1, c0, c1, out_tile,
-                               kernel);
-        });
-  } catch (const std::bad_alloc&) {
-    throw util::ResourceError("publish: out of memory allocating " +
-                              std::to_string(n) + "x" + std::to_string(m) +
-                              " release");
-  }
-  project_timer.stop();
-
-  // Step 2: perturb with σ calibrated to the projected-row sensitivity
-  // (scaled by the per-entry change bound — the row change is
-  // ±max_entry_change·P_j).
-  obs::ScopedTimer perturb_timer(obs::names::kPublishPerturb);
+  // σ is calibrated to the projected-row sensitivity, scaled by the
+  // per-entry change bound (the row change is ±max_entry_change·P_j).
   PublishedGraph out;
   out.calibration =
       calibrate_noise(m, options_.params, options_.analytic_calibration,
                       options_.delta_split);
   out.calibration.sensitivity *= max_entry_change;
   out.calibration.sigma *= max_entry_change;
-  // Independent noise stream: a separate counter stream id, so the noise is
-  // uncorrelated with P for the same seed and — being counter-based — the
-  // perturbation parallelizes with bit-identical results per thread count.
-  {
-    const random::CounterRng noise = noise_counter_rng(options_.seed);
-    const double sigma = out.calibration.sigma;
-    util::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
-      // One reusable batch buffer per work chunk: the kernel fills a row of
-      // draws at a time, then the (exactly-ordered) axpy keeps the update
-      // bit-identical to the per-entry formulation.
-      std::vector<double> draws(m);
-      for (std::size_t r = lo; r < hi; ++r) {
-        auto row = y.row(r);
-        const std::uint64_t base = static_cast<std::uint64_t>(r) * m;
-        random::normal_batch(noise, base, m, draws.data(), kernel);
-        for (std::size_t c = 0; c < m; ++c) {
-          row[c] += sigma * draws[c];
-        }
-      }
-    });
+
+  // Project and perturb as one block covering every row, with A's own
+  // arrays (A is symmetric, so its rows are its columns). P is never
+  // materialized (core/projection.hpp), so the largest allocation of a
+  // publish is Ỹ itself; the fault point stands in for it, and both it and
+  // a genuine failure surface as the typed ResourceError.
+  std::vector<double> y;
+  try {
+    util::fault_point(util::fault_points::kAlloc);
+    publish_rows(matrix.as_source_major(), 0, n, options_, out.calibration,
+                 y);
+  } catch (const std::bad_alloc&) {
+    throw util::ResourceError("publish: out of memory allocating " +
+                              std::to_string(n) + "x" + std::to_string(m) +
+                              " release");
   }
-  perturb_timer.attr("sigma", out.calibration.sigma);
-  perturb_timer.stop();
 
   static obs::Counter& releases = obs::counter(obs::names::kPublishReleases);
-  static obs::Counter& cells = obs::counter(obs::names::kPublishCells);
   releases.add();
-  cells.add(static_cast<std::uint64_t>(n) * m);
   // Headline config gauges (docs/observability.md): the σ actually used
   // and the input size, so a report is interpretable on its own.
   obs::gauge(obs::names::kPublishSigma).set(out.calibration.sigma);
@@ -162,14 +120,79 @@ PublishedGraph RandomProjectionPublisher::publish_matrix(
   obs::gauge(obs::names::kPublishKernelVariant)
       .set(static_cast<double>(kernel));
 
-  // Step 3: assemble the release.
-  out.data = std::move(y);
+  out.data = linalg::DenseMatrix(n, m, std::move(y));
   out.num_nodes = n;
   out.projection_dim = m;
   out.params = options_.params;
   out.projection = options_.projection;
   out.projection_rng = projection_rng_for(options_.projection, kernel);
   return out;
+}
+
+void publish_rows(const linalg::SourceMajorBlock& block, std::size_t row_begin,
+                  std::size_t row_end,
+                  const RandomProjectionPublisher::Options& options,
+                  const NoiseCalibration& calibration,
+                  std::vector<double>& out, util::ThreadPool& pool) {
+  const std::size_t m = options.projection_dim;
+  util::require(row_begin <= row_end,
+                "publish_rows: row_begin must be <= row_end");
+  const random::KernelVariant kernel =
+      random::resolve_normal_kernel(options.kernel);
+
+  // Step 1: project, fused. The kernel generates counter-based tiles of P
+  // on demand (P[j][c] = f(seed, j·m+c), core/projection.hpp) for the
+  // sources this block reaches and scatters them straight into the rows, so
+  // working memory is the block's rows plus one tile per pool thread.
+  obs::ScopedTimer project_timer(obs::names::kPublishProject);
+  project_timer.attr("nnz", block.targets.size());
+  out.assign((row_end - row_begin) * m, 0.0);
+  const random::CounterRng p_rng = projection_counter_rng(options.seed);
+  const ProjectionKind kind = options.projection;
+  linalg::multiply_generated_block(
+      block, row_begin, row_end, m,
+      [&p_rng, m, kind, kernel](std::size_t r0, std::size_t r1,
+                                std::size_t c0, std::size_t c1,
+                                double* out_tile) {
+        fill_projection_tile(p_rng, m, kind, r0, r1, c0, c1, out_tile, kernel);
+      },
+      {.pool = &pool}, out);
+  project_timer.stop();
+
+  // Step 2: perturb. An independent counter stream: uncorrelated with P for
+  // the same seed and, being a pure function of (seed, i·m+c), identical
+  // under any partition of the rows.
+  obs::ScopedTimer perturb_timer(obs::names::kPublishPerturb);
+  perturb_timer.attr("sigma", calibration.sigma);
+  const random::CounterRng noise = noise_counter_rng(options.seed);
+  const double sigma = calibration.sigma;
+  util::parallel_for(
+      pool, row_begin, row_end, [&](std::size_t lo, std::size_t hi) {
+        // One reusable batch buffer per work chunk: the kernel fills a row
+        // of draws at a time, then the (exactly-ordered) axpy keeps the
+        // update bit-identical to the per-entry formulation.
+        std::vector<double> draws(m);
+        for (std::size_t i = lo; i < hi; ++i) {
+          double* row = out.data() + (i - row_begin) * m;
+          const std::uint64_t base = static_cast<std::uint64_t>(i) * m;
+          random::normal_batch(noise, base, m, draws.data(), kernel);
+          for (std::size_t c = 0; c < m; ++c) row[c] += sigma * draws[c];
+        }
+      });
+  perturb_timer.stop();
+
+  // Counted in the one kernel every mode runs, so in-memory, sharded and
+  // distributed (summed over processes) runs agree; each source reaching
+  // the block cost one generated P row.
+  std::uint64_t sources = 0;
+  for (std::size_t j = 0; j < block.num_sources(); ++j) {
+    sources += block.offsets[j + 1] != block.offsets[j];
+  }
+  static obs::Counter& cells = obs::counter(obs::names::kPublishCells);
+  static obs::Counter& p_rows =
+      obs::counter(obs::names::kPublishPRowsGenerated);
+  cells.add(static_cast<std::uint64_t>(row_end - row_begin) * m);
+  p_rows.add(sources);
 }
 
 linalg::DenseMatrix spectral_embedding(const PublishedGraph& published,

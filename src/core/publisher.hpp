@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "cluster/kmeans.hpp"
 #include "core/projection.hpp"
@@ -21,7 +22,9 @@
 #include "dp/privacy.hpp"
 #include "graph/graph.hpp"
 #include "linalg/dense_matrix.hpp"
+#include "linalg/sparse_matrix.hpp"
 #include "random/kernel_variant.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sgp::core {
 
@@ -54,7 +57,7 @@ enum class ProjectionRngKind {
 /// The tag a new release publishes under, given its projection family and
 /// the RESOLVED kernel variant (never kAuto): gaussian + polynomial normals
 /// → kCounterV1Simd, everything else → kCounterV1. Shared by the in-memory,
-/// streaming, and sharded publishers so the three can never disagree.
+/// sharded, and distributed publishers so they can never disagree.
 [[nodiscard]] ProjectionRngKind projection_rng_for(
     ProjectionKind projection, random::KernelVariant resolved_kernel);
 
@@ -116,6 +119,25 @@ class RandomProjectionPublisher {
  private:
   Options options_;
 };
+
+/// The one publish kernel: rows [row_begin, row_end) of the release,
+///   Ỹ_i = Σ_j A_ij · P_j + σ·N_i,
+/// into `out` (resized to (row_end − row_begin)·m, row-major). `block` is the
+/// column block A[:, row_begin:row_end) in source-major form
+/// (linalg::SourceMajorBlock): the in-memory publisher passes the whole
+/// matrix as one block, the sharded and distributed publishers one shard at
+/// a time. P_j is generated once per block, and only for sources adjacent
+/// to the block's rows; contributions reach each cell in ascending j, then
+/// the σ-scaled counter noise is added — so the bytes are the same for every
+/// shard height, process topology and thread count. Records the
+/// publish.project / publish.perturb timers and the publish.cells /
+/// publish.p_rows_generated counters.
+void publish_rows(const linalg::SourceMajorBlock& block, std::size_t row_begin,
+                  std::size_t row_end,
+                  const RandomProjectionPublisher::Options& options,
+                  const NoiseCalibration& calibration,
+                  std::vector<double>& out,
+                  util::ThreadPool& pool = util::global_pool());
 
 /// Analyst-side: top-k left singular vectors of Ỹ (n×k) — the spectral node
 /// embedding used for clustering. Requires 1 <= k <= m.

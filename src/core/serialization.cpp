@@ -1,7 +1,5 @@
 #include "core/serialization.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -11,9 +9,6 @@
 #include "core/theory.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/scoped_timer.hpp"
-#include "random/counter_rng.hpp"
-#include "random/counter_rng_simd.hpp"
-#include "util/check.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
 #include "util/fault_point_names.hpp"
@@ -172,63 +167,6 @@ PublishedGraph load_published_file(const std::string& path) {
     throw util::IoError("load_published: cannot open " + path);
   }
   return load_published(in);
-}
-
-void publish_to_stream(const graph::Graph& g,
-                       const RandomProjectionPublisher::Options& options,
-                       std::ostream& out) {
-  util::fault_point(util::fault_points::kIoWrite);
-  obs::ScopedTimer timer(obs::names::kPublishStream);
-  timer.attr("n", g.num_nodes()).attr("m", options.projection_dim);
-  const std::size_t n = g.num_nodes();
-  const std::size_t m = options.projection_dim;
-  util::require(n >= 1, "publish_to_stream: graph must have nodes");
-  util::require(m >= 1 && m <= n,
-                "publish_to_stream: projection_dim must be in [1, n]");
-  options.params.validate();
-
-  // Replicate the fused publisher's randomness exactly: P and the noise are
-  // counter-based pure functions of the seed (core/projection.hpp), so the
-  // needed row of P regenerates on demand per neighbor and nothing n×m is
-  // ever held. Per output cell, neighbors are visited in ascending order —
-  // the same accumulation order as the fused kernel — so the payload is
-  // byte-identical to save_published(publish(g)) in O(m) memory.
-  const random::CounterRng p_rng = projection_counter_rng(options.seed);
-  const random::CounterRng noise = noise_counter_rng(options.seed);
-
-  // Same once-per-publish kernel resolution as the in-memory publisher, so
-  // the two paths pick the same mapping — and therefore the same header tag
-  // and payload bytes — for the same options and environment.
-  const random::KernelVariant kernel =
-      random::resolve_normal_kernel(options.kernel);
-
-  const NoiseCalibration calibration = calibrate_noise(
-      m, options.params, options.analytic_calibration, options.delta_split);
-  write_published_header(out, n, m, options.params, calibration,
-                         options.projection,
-                         projection_rng_for(options.projection, kernel));
-
-  // Stream one published row at a time: Ỹ_i = Σ_{j∈N(i)} P_j + σ·N_i.
-  std::vector<double> row(m);
-  std::vector<double> prow(m);
-  std::vector<double> draws(m);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::fill(row.begin(), row.end(), 0.0);
-    for (std::uint32_t j : g.neighbors(i)) {
-      fill_projection_tile(p_rng, m, options.projection, j, j + 1, 0, m,
-                           prow.data(), kernel);
-      for (std::size_t c = 0; c < m; ++c) row[c] += prow[c];
-    }
-    const std::uint64_t base = static_cast<std::uint64_t>(i) * m;
-    random::normal_batch(noise, base, m, draws.data(), kernel);
-    for (std::size_t c = 0; c < m; ++c) {
-      row[c] += calibration.sigma * draws[c];
-    }
-    write_published_doubles(out, row);
-  }
-  if (!out.good()) {
-    throw util::IoError("publish_to_stream: stream write failed");
-  }
 }
 
 }  // namespace sgp::core

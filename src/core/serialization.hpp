@@ -14,10 +14,10 @@
 namespace sgp::core {
 
 /// Writes the v2 text header (magic through the "data" marker, inclusive)
-/// exactly as save_published/publish_to_stream emit it. The single encoder
-/// for the header bytes: save_published, publish_to_stream and the sharded
-/// publisher (core/sharded_publish.hpp) all call this, so their outputs can
-/// only differ in the payload. Sets the stream's precision to 17
+/// exactly as save_published emits it. The single encoder for the header
+/// bytes: save_published and the sharded and distributed publishers
+/// (core/sharded_publish.hpp) all call this, so their outputs can only
+/// differ in the payload. Sets the stream's precision to 17
 /// (max_digits10) as a side effect.
 void write_published_header(std::ostream& out, std::size_t num_nodes,
                             std::size_t projection_dim,
@@ -51,14 +51,5 @@ PublishedGraph load_published(std::istream& in);
 
 /// Loads from a file path. Throws std::runtime_error if unreadable.
 PublishedGraph load_published_file(const std::string& path);
-
-/// Memory-bounded publish: computes and writes the release row by row
-/// instead of materializing Ỹ (peak memory drops from ~2·n·m to ~n·m
-/// doubles — the projection matrix only). Produces **byte-identical** output
-/// to `save_published(RandomProjectionPublisher(options).publish(g), out)`
-/// for the same options, so consumers cannot tell the difference.
-void publish_to_stream(const graph::Graph& g,
-                       const RandomProjectionPublisher::Options& options,
-                       std::ostream& out);
 
 }  // namespace sgp::core

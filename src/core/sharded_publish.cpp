@@ -8,14 +8,11 @@
 #include <sstream>
 #include <vector>
 
-#include "core/projection.hpp"
 #include "core/serialization.hpp"
 #include "core/theory.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
-#include "random/counter_rng.hpp"
-#include "random/counter_rng_simd.hpp"
 #include "random/kernel_variant.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
@@ -90,49 +87,6 @@ std::string shard_config_line(const ShardedPublishOptions& options,
              options.publish.projection,
              random::resolve_normal_kernel(options.publish.kernel)));
   return with_crc(out.str());
-}
-
-void compute_shard_tile(const graph::ShardRows& shard, std::size_t row_begin,
-                        std::size_t row_end,
-                        const RandomProjectionPublisher::Options& publish,
-                        const NoiseCalibration& calibration,
-                        util::ThreadPool& pool, std::vector<double>& tile) {
-  const std::size_t m = publish.projection_dim;
-  const random::CounterRng p_rng = projection_counter_rng(publish.seed);
-  const random::CounterRng noise = noise_counter_rng(publish.seed);
-  const random::KernelVariant kernel =
-      random::resolve_normal_kernel(publish.kernel);
-  tile.assign((row_end - row_begin) * m, 0.0);
-
-  // Row i of the release, computed exactly as publish_to_stream computes
-  // it: neighbors ascending, then σ-scaled counter noise — both pure
-  // functions of (seed, counter, kernel mapping), so threads and shard
-  // boundaries cannot change a single bit.
-  util::parallel_for(
-      pool, row_begin, row_end,
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<double> prow(m);
-        std::vector<double> draws(m);
-        for (std::size_t i = lo; i < hi; ++i) {
-          double* row = tile.data() + (i - row_begin) * m;
-          for (std::uint32_t j : shard.neighbors(i)) {
-            fill_projection_tile(p_rng, m, publish.projection, j, j + 1, 0, m,
-                                 prow.data(), kernel);
-            for (std::size_t c = 0; c < m; ++c) row[c] += prow[c];
-          }
-          const std::uint64_t base = static_cast<std::uint64_t>(i) * m;
-          random::normal_batch(noise, base, m, draws.data(), kernel);
-          for (std::size_t c = 0; c < m; ++c) {
-            row[c] += calibration.sigma * draws[c];
-          }
-        }
-      },
-      /*grain=*/16);
-  // Counted here — the one code path every publish mode (streaming aside)
-  // funnels through — so single-process and distributed runs report the
-  // same publish.cells total for the same release.
-  static obs::Counter& cells = obs::counter(obs::names::kPublishCells);
-  cells.add((row_end - row_begin) * m);
 }
 
 ShardPlan plan_shards(std::size_t num_rows, std::size_t shard_rows) {
@@ -268,11 +222,11 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
     // Loading a shard is idempotent (a fresh pass over the edge list), so
     // a transient read failure — the io.shard.read fault point — is safely
     // retried under the configured policy.
-    const graph::ShardRows shard = util::retry_with_backoff(
+    const graph::ShardBlock shard = util::retry_with_backoff(
         options.io_retry, "shard load",
         [&] { return reader.load_shard(r0, r1); });
-    compute_shard_tile(shard, r0, r1, options.publish, calibration, pool,
-                       tile);
+    publish_rows(shard.block(), r0, r1, options.publish, calibration, tile,
+                 pool);
 
     util::fault_point(util::fault_points::kIoShardWrite);
     write_published_doubles(out, tile);

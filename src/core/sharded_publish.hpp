@@ -4,13 +4,14 @@
 //   Ỹ_i = Σ_{j∈N(i)} P_j + σ·N_i,
 // and with counter-based generation (core/projection.hpp) both P rows and
 // the noise are pure functions of (seed, counter) — no state flows between
-// rows. Publication therefore decomposes into independent row shards: stream
-// shard rows from the edge list (graph/shard_loader.hpp), compute the
-// shard's tile of Ỹ in parallel, append it to the release stream, repeat.
-// Working memory is O(rows_per_shard·m + |E_shard|) instead of O(n·m), and
-// the output is byte-identical to publish_to_stream for every shard size
-// and thread count (enforced by tests/core/sharded_publish_test.cpp and the
-// slow differential matrix).
+// rows. Publication therefore decomposes into independent row shards: load
+// a shard from the edge list (graph/shard_loader.hpp), compute its rows of Ỹ
+// with the one publish kernel (publish_rows, core/publisher.hpp), append
+// them to the release stream, repeat. Working memory is
+// O(rows_per_shard·m + |E_shard| + n) instead of O(n·m), and the output is
+// byte-identical to the in-memory release for every shard size and thread
+// count (enforced by tests/core/sharded_publish_test.cpp and the slow
+// differential matrix).
 //
 // Durability: after each shard the publisher appends a CRC-guarded record to
 // a sidecar checkpoint log (`<out>.ckpt`). A crash mid-shard leaves the log
@@ -23,13 +24,11 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/publisher.hpp"
 #include "graph/shard_loader.hpp"
 #include "util/check.hpp"
 #include "util/retry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sgp::core {
 
@@ -98,25 +97,13 @@ struct ShardedPublishResult {
 };
 
 /// Publishes the graph behind `reader` to `out_path` shard by shard.
-/// The release file is byte-identical to publish_to_stream over
-/// read_edge_list of the same file with the same options. Throws
+/// The release file is byte-identical to save_published of the in-memory
+/// publish of read_edge_list on the same file with the same options. Throws
 /// util::PreconditionError on bad options and util::IoError on IO failure
 /// (fault points: "io.shard.read", "io.shard.write", "io.shard.checkpoint").
 ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
                                      const ShardedPublishOptions& options,
                                      const std::string& out_path);
-
-/// Computes the published tile for rows [row_begin, row_end) — exactly the
-/// bytes publish_to_stream would emit for those rows: neighbors ascending,
-/// then σ-scaled counter noise, both pure functions of (seed, counter), so
-/// the caller's process/shard/thread topology cannot change a bit. `tile`
-/// is resized to (row_end − row_begin)·m. Shared by the single-process
-/// shard loop and the distributed workers (core/distributed_publish.hpp).
-void compute_shard_tile(const graph::ShardRows& shard, std::size_t row_begin,
-                        std::size_t row_end,
-                        const RandomProjectionPublisher::Options& publish,
-                        const NoiseCalibration& calibration,
-                        util::ThreadPool& pool, std::vector<double>& tile);
 
 /// The CRC-guarded config record that ties a checkpoint — or a distributed
 /// lease file — to one exact publication: every knob that changes output

@@ -52,19 +52,22 @@ EdgeListShardReader::EdgeListShardReader(std::string path, IdPolicy policy,
   timer.attr("nodes", num_nodes_).attr("edges", edge_records_);
 }
 
-ShardRows EdgeListShardReader::load_shard(std::size_t row_begin,
-                                          std::size_t row_end) const {
+ShardBlock EdgeListShardReader::load_shard(std::size_t row_begin,
+                                           std::size_t row_end) const {
   util::require(row_begin <= row_end && row_end <= num_nodes_,
                 "shard loader: row range must lie within [0, num_nodes]");
   util::fault_point(util::fault_points::kIoShardRead);
   obs::ScopedTimer timer(obs::names::kIoReadShard);
   timer.attr("row_begin", row_begin).attr("row_end", row_end);
 
+  // Every id was interned (kCompact) or bounded (kPreserve) by the
+  // construction scan; anything else means the file changed under us. Ids
+  // index the per-source offsets below, so this is also their bounds check.
   const auto resolve = [this](std::uint64_t raw) -> std::uint32_t {
-    if (policy_ == IdPolicy::kPreserve) return static_cast<std::uint32_t>(raw);
-    const auto it = remap_.find(raw);
-    // Every id was interned during the construction scan; a miss means the
-    // file changed under us.
+    if (policy_ == IdPolicy::kPreserve && raw < num_nodes_) {
+      return static_cast<std::uint32_t>(raw);
+    }
+    const auto it = remap_.find(raw);  // always a miss under kPreserve
     if (it == remap_.end()) {
       throw util::IoError("shard loader: " + path_ +
                           " changed since construction (unknown node id)");
@@ -72,9 +75,9 @@ ShardRows EdgeListShardReader::load_shard(std::size_t row_begin,
     return it->second;
   };
 
-  // One (row, neighbor) pair per direction that lands in the shard; sorting
-  // the pair list then groups rows and orders each neighbor list, so the
-  // per-row unique() below reproduces Graph::from_edges' merged duplicates.
+  // One (source, row) pair per direction that lands in the shard; sorting
+  // the pair list then groups sources and orders each source's shard rows,
+  // so the unique() below reproduces Graph::from_edges' merged duplicates.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> incident;
   std::ifstream in = open_or_throw(path_);
   const EdgeScanStats stats = scan_edge_list(
@@ -82,8 +85,8 @@ ShardRows EdgeListShardReader::load_shard(std::size_t row_begin,
       [&](std::uint64_t u_raw, std::uint64_t v_raw) {
         const std::uint32_t u = resolve(u_raw);
         const std::uint32_t v = resolve(v_raw);
-        if (u >= row_begin && u < row_end) incident.emplace_back(u, v);
-        if (v >= row_begin && v < row_end) incident.emplace_back(v, u);
+        if (u >= row_begin && u < row_end) incident.emplace_back(v, u);
+        if (v >= row_begin && v < row_end) incident.emplace_back(u, v);
       });
   if (stats.edge_records != edge_records_) {
     throw util::IoError("shard loader: " + path_ +
@@ -93,17 +96,17 @@ ShardRows EdgeListShardReader::load_shard(std::size_t row_begin,
   incident.erase(std::unique(incident.begin(), incident.end()),
                  incident.end());
 
-  ShardRows shard;
+  ShardBlock shard;
   shard.row_begin = row_begin;
   shard.row_end = row_end;
-  shard.offsets.assign(row_end - row_begin + 1, 0);
-  shard.adjacency.reserve(incident.size());
-  for (const auto& [row, neighbor] : incident) {
-    ++shard.offsets[row - row_begin + 1];
-    shard.adjacency.push_back(neighbor);
+  shard.offsets.assign(num_nodes_ + 1, 0);
+  shard.targets.reserve(incident.size());
+  for (const auto& [source, row] : incident) {
+    ++shard.offsets[source + 1];
+    shard.targets.push_back(row);
   }
-  for (std::size_t r = 1; r < shard.offsets.size(); ++r) {
-    shard.offsets[r] += shard.offsets[r - 1];
+  for (std::size_t j = 1; j < shard.offsets.size(); ++j) {
+    shard.offsets[j] += shard.offsets[j - 1];
   }
   return shard;
 }

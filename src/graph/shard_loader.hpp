@@ -1,8 +1,9 @@
 // Out-of-core row-shard access to an on-disk edge list.
 //
 // The publishing mechanism is row-separable (core/sharded_publish.hpp), so a
-// publisher never needs the whole graph in memory — only the CSR rows of the
-// shard it is currently emitting. EdgeListShardReader provides exactly that:
+// publisher never needs the whole graph in memory — only the adjacency
+// entries of the shard it is currently emitting. EdgeListShardReader
+// provides exactly that:
 // an initial streaming pass establishes the node count (and, under
 // IdPolicy::kCompact, the first-appearance id remap — the one O(n) structure
 // this loader keeps, a few dozen bytes per node versus the O(n·m) doubles of
@@ -11,43 +12,43 @@
 //
 // Semantics match the in-memory path bit for bit: both run on
 // scan_edge_list (graph/io.hpp), so parsing, header handling, id caps and
-// self-loop dropping are shared code, and each shard row's neighbor list is
-// sorted and deduplicated exactly as Graph::from_edges would produce it.
+// self-loop dropping are shared code, and each source's list of shard rows
+// is sorted and deduplicated exactly as Graph::from_edges would produce it.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "graph/io.hpp"
+#include "linalg/sparse_matrix.hpp"
 
 namespace sgp::graph {
 
-/// CSR rows [row_begin, row_end) of the full graph's adjacency structure.
-/// Neighbor ids are global node ids; per-row lists are sorted ascending with
-/// duplicates merged — identical to Graph::neighbors() for the same rows.
-struct ShardRows {
+/// Shard [row_begin, row_end) in source-major form — the column block
+/// A[:, row_begin:row_end) of the symmetric adjacency matrix, unweighted:
+/// targets [offsets[j], offsets[j+1]) equal Graph::neighbors(j) ∩
+/// [row_begin, row_end) for every node j — the rows the publish kernel
+/// (core::publish_rows) scatters P_j into.
+struct ShardBlock {
   std::size_t row_begin = 0;
   std::size_t row_end = 0;
-  std::vector<std::size_t> offsets;       ///< size (row_end - row_begin) + 1
-  std::vector<std::uint32_t> adjacency;   ///< concatenated neighbor lists
+  std::vector<std::size_t> offsets;    ///< size num_nodes + 1
+  std::vector<std::uint32_t> targets;  ///< concatenated per-source rows
 
   [[nodiscard]] std::size_t num_rows() const { return row_end - row_begin; }
 
-  /// Neighbors of global row `u` (must lie in [row_begin, row_end)).
-  [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t u) const {
-    const std::size_t local = u - row_begin;
-    return {adjacency.data() + offsets[local],
-            offsets[local + 1] - offsets[local]};
+  /// The same arrays as the kernel's block view.
+  [[nodiscard]] linalg::SourceMajorBlock block() const {
+    return {offsets, targets, {}};
   }
 };
 
 /// Streams row shards of an edge-list file without materializing the graph.
 /// Construction performs one full scan (node count, edge count, id remap);
 /// each load_shard() performs another. Working memory per load_shard() is
-/// O(|E_shard|) plus the persistent remap.
+/// O(|E_shard| + n) plus the persistent remap.
 class EdgeListShardReader {
  public:
   /// Opens and scans `path`. Throws util::IoError if unreadable and
@@ -62,12 +63,12 @@ class EdgeListShardReader {
   /// Edge records accepted by the scan (before undirected deduplication).
   [[nodiscard]] std::size_t edge_records() const { return edge_records_; }
 
-  /// Loads CSR rows [row_begin, row_end). Requires row_begin <= row_end and
-  /// row_end <= num_nodes(). Re-reads the file; throws util::IoError if it
-  /// changed shape since construction (defensive — the scan counts must
-  /// still match).
-  [[nodiscard]] ShardRows load_shard(std::size_t row_begin,
-                                     std::size_t row_end) const;
+  /// Loads rows [row_begin, row_end) in source-major form. Requires
+  /// row_begin <= row_end <= num_nodes(). Re-reads the file; throws
+  /// util::IoError if it changed shape since construction (defensive — the
+  /// scan counts and node ids must still match).
+  [[nodiscard]] ShardBlock load_shard(std::size_t row_begin,
+                                      std::size_t row_end) const;
 
  private:
   std::string path_;

@@ -111,18 +111,32 @@ DenseMatrix CsrMatrix::multiply_generated(
     std::size_t b_cols, const TileFiller& fill_tile,
     const GeneratedTileOptions& opts) const {
   util::require(rows() == cols_, "multiply_generated: matrix must be square");
+  DenseMatrix out(rows(), b_cols);
+  multiply_generated_block(as_source_major(), 0, rows(), b_cols, fill_tile,
+                           opts, out.data());
+  return out;
+}
+
+void multiply_generated_block(const SourceMajorBlock& block,
+                              std::size_t row_begin, std::size_t row_end,
+                              std::size_t b_cols, const TileFiller& fill_tile,
+                              const GeneratedTileOptions& opts,
+                              std::span<double> out) {
   util::require(static_cast<bool>(fill_tile),
                 "multiply_generated: fill_tile must be callable");
-  const std::size_t n = rows();
-  DenseMatrix out(n, b_cols);
-  if (n == 0 || b_cols == 0) return out;
+  util::require(out.size() == (row_end - row_begin) * b_cols,
+                "multiply_generated: out must hold the block's rows");
+  util::require(block.weights.empty() ||
+                    block.weights.size() == block.targets.size(),
+                "multiply_generated: weights must align with targets");
+  const std::size_t n = block.num_sources();
+  if (n == 0 || b_cols == 0 || row_begin == row_end) return;
 
   util::ThreadPool& pool = opts.pool ? *opts.pool : util::global_pool();
   // Clamp to n before sizing scratch: an adversarial tile_rows (say
   // SIZE_MAX) would otherwise overflow the tile_rows·tile_cols product and
   // allocate a scratch buffer smaller than one tile. After the clamp the
-  // product is bounded by n·b_cols, which the `out` allocation above has
-  // already proven representable.
+  // product is at most num_sources · b_cols.
   const std::size_t tile_rows =
       std::min(std::max<std::size_t>(1, opts.tile_rows), n);
   std::size_t tile_cols = opts.tile_cols;
@@ -136,43 +150,52 @@ DenseMatrix CsrMatrix::multiply_generated(
   tile_cols = std::min(tile_cols, b_cols);
 
   static obs::Counter& tiles = obs::counter(obs::names::kLinalgFusedTiles);
+  const std::size_t* const offsets = block.offsets.data();
+  const std::uint32_t* const targets = block.targets.data();
 
   // Each chunk of columns is owned by exactly one task, so the scatter
-  // Y[r, c0..c1) += v · tile[j, c0..c1) never races: tasks write disjoint
-  // column slabs of `out`. Per output cell (r, c) the contributions arrive
-  // in ascending j (outer row-block loop, then rows within the tile), which
-  // matches the ascending-column accumulation of multiply_dense on a
+  // Y[i, c0..c1) += w · tile[j, c0..c1) never races: tasks write disjoint
+  // column slabs of `out`. Per output cell (i, c) the contributions arrive
+  // in ascending j (outer source-block loop, then sources within the tile),
+  // which matches the ascending-column accumulation of multiply_dense on a
   // symmetric matrix — hence bit-identical results for any tiling/threads.
   util::parallel_for(
       pool, 0, b_cols,
       [&](std::size_t col_lo, std::size_t col_hi) {
         std::vector<double> scratch(tile_rows * tile_cols);
-        double* const out_data = out.row(0).data();
+        double* const out_data = out.data();
         for (std::size_t c0 = col_lo; c0 < col_hi; c0 += tile_cols) {
           const std::size_t c1 = std::min(col_hi, c0 + tile_cols);
           const std::size_t width = c1 - c0;
           for (std::size_t j0 = 0; j0 < n; j0 += tile_rows) {
             const std::size_t j1 = std::min(n, j0 + tile_rows);
-            fill_tile(j0, j1, c0, c1, scratch.data());
-            tiles.add();
+            // Generate B only for runs of sources that scatter somewhere:
+            // a source with no target in this block costs nothing.
+            for (std::size_t a = j0; a < j1; ++a) {
+              if (offsets[a] == offsets[a + 1]) continue;
+              std::size_t b = a + 1;
+              while (b < j1 && offsets[b] != offsets[b + 1]) ++b;
+              fill_tile(a, b, c0, c1, scratch.data() + (a - j0) * width);
+              tiles.add();
+              a = b;  // source b (if any) is empty: the ++a skips it
+            }
             for (std::size_t j = j0; j < j1; ++j) {
               const double* tile_row = scratch.data() + (j - j0) * width;
-              const std::size_t k_end = row_ptr_[j + 1];
-              for (std::size_t k = row_ptr_[j]; k < k_end; ++k) {
+              const std::size_t k_end = offsets[j + 1];
+              for (std::size_t k = offsets[j]; k < k_end; ++k) {
                 // The scatter destination row is data-dependent through
-                // col_idx_, so the hardware prefetcher can't see it coming;
+                // targets, so the hardware prefetcher can't see it coming;
                 // hint the next entry's line while this one's FMAs run.
                 if (k + 1 < k_end) {
                   __builtin_prefetch(
-                      out_data +
-                          static_cast<std::size_t>(col_idx_[k + 1]) * b_cols +
-                          c0,
+                      out_data + (targets[k + 1] - row_begin) * b_cols + c0,
                       /*rw=*/1, /*locality=*/1);
                 }
-                const double v = values_[k];
-                double* orow =
-                    out_data + static_cast<std::size_t>(col_idx_[k]) * b_cols +
-                    c0;
+                // An unweighted block scatters with weight 1.0, which is
+                // exact: v · x == x for every double x.
+                const double v =
+                    block.weights.empty() ? 1.0 : block.weights[k];
+                double* orow = out_data + (targets[k] - row_begin) * b_cols + c0;
                 for (std::size_t c = 0; c < width; ++c) {
                   orow[c] += v * tile_row[c];
                 }
@@ -182,7 +205,6 @@ DenseMatrix CsrMatrix::multiply_generated(
         }
       },
       tile_cols);
-  return out;
 }
 
 DenseMatrix CsrMatrix::to_dense() const {

@@ -40,6 +40,37 @@ struct GeneratedTileOptions {
   util::ThreadPool* pool = nullptr;
 };
 
+/// Source-major view of a column block A[:, row_begin:row_end) of a
+/// symmetric matrix: for each source j in [0, num_sources()), targets
+/// [offsets[j], offsets[j+1]) are the ascending rows i of the block with
+/// A[i][j] != 0, and `weights` holds those entries (aligned with `targets`;
+/// empty means every entry is 1.0). A whole symmetric CSR matrix is one such
+/// block over [0, n) — row j of A lists exactly the rows that column j
+/// reaches — and a graph shard (graph/shard_loader.hpp) is another.
+struct SourceMajorBlock {
+  std::span<const std::size_t> offsets;
+  std::span<const std::uint32_t> targets;
+  std::span<const double> weights;
+
+  [[nodiscard]] std::size_t num_sources() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+};
+
+/// The fused generate-and-scatter kernel under multiply_generated and
+/// core::publish_rows: out[(i − row_begin)·b_cols + c] += Σ_j w_ij · B[j][c]
+/// for the block's rows i (row-major, every target in [row_begin, row_end)),
+/// with B (num_sources × b_cols) never materialized — `fill_tile` generates
+/// it on demand, only for sources with a non-empty target list, once per
+/// column slab. Slabs run in parallel on disjoint columns of `out`; within a
+/// cell contributions arrive in ascending j, so the result is bit-identical
+/// for every tiling and thread count.
+void multiply_generated_block(const SourceMajorBlock& block,
+                              std::size_t row_begin, std::size_t row_end,
+                              std::size_t b_cols, const TileFiller& fill_tile,
+                              const GeneratedTileOptions& opts,
+                              std::span<double> out);
+
 /// One (row, col, value) entry used to assemble a CSR matrix.
 struct Triplet {
   std::uint32_t row;
@@ -92,9 +123,16 @@ class CsrMatrix {
   /// reach column j of A (Y[r] += A[j][r]·B[j]). Squareness is checked;
   /// symmetry is the caller's contract (checking it would cost a full
   /// O(nnz·log d) pass per multiply — publish_matrix already documents it).
+  /// A call into multiply_generated_block over as_source_major().
   [[nodiscard]] DenseMatrix multiply_generated(
       std::size_t b_cols, const TileFiller& fill_tile,
       const GeneratedTileOptions& opts = {}) const;
+
+  /// This matrix's own arrays as one source-major block over rows [0, n).
+  /// Only meaningful for a symmetric matrix (see SourceMajorBlock).
+  [[nodiscard]] SourceMajorBlock as_source_major() const {
+    return {row_ptr_, col_idx_, values_};
+  }
 
   /// Materializes the dense equivalent (small matrices / tests only).
   [[nodiscard]] DenseMatrix to_dense() const;

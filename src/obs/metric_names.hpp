@@ -51,6 +51,8 @@ inline constexpr std::string_view kPublishCells = "publish.cells";
 inline constexpr std::string_view kPublishEmbeds = "publish.embeds";
 inline constexpr std::string_view kPublishLeasesReclaimed =
     "publish.leases_reclaimed";
+inline constexpr std::string_view kPublishPRowsGenerated =
+    "publish.p_rows_generated";
 inline constexpr std::string_view kPublishReleases = "publish.releases";
 inline constexpr std::string_view kPublishShards = "publish.shards";
 inline constexpr std::string_view kPublishShardsResumed =
@@ -124,7 +126,6 @@ inline constexpr std::string_view kPublishPerturb = "publish.perturb";
 inline constexpr std::string_view kPublishProject = "publish.project";
 inline constexpr std::string_view kPublishShard = "publish.shard";
 inline constexpr std::string_view kPublishSharded = "publish.sharded";
-inline constexpr std::string_view kPublishStream = "publish.stream";
 inline constexpr std::string_view kSessionBeginRelease =
     "session.begin_release";
 inline constexpr std::string_view kSessionPublish = "session.publish";
@@ -195,6 +196,7 @@ inline constexpr std::string_view kAllNames[] = {
     kPublishEmbeds,
     kPublishKernelVariant,
     kPublishLeasesReclaimed,
+    kPublishPRowsGenerated,
     kPublishPerturb,
     kPublishProject,
     kPublishReleases,
@@ -204,7 +206,6 @@ inline constexpr std::string_view kAllNames[] = {
     kPublishShards,
     kPublishShardsResumed,
     kPublishSigma,
-    kPublishStream,
     kPublishWorkers,
     kRetryAttempts,
     kSessionBeginRelease,

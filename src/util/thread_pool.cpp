@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
@@ -93,11 +94,25 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   const std::size_t chunk = (n + chunks - 1) / chunks;
   std::vector<std::future<void>> futures;
   futures.reserve(chunks);
-  for (std::size_t lo = begin; lo < end; lo += chunk) {
-    const std::size_t hi = std::min(end, lo + chunk);
-    futures.push_back(pool.submit([&body, lo, hi] { body(lo, hi); }));
+  // Queued chunks hold `&body`: drain every future before rethrowing the
+  // first failure, or a chunk still running would outlive this frame.
+  std::exception_ptr first_error;
+  try {
+    for (std::size_t lo = begin; lo < end; lo += chunk) {
+      const std::size_t hi = std::min(end, lo + chunk);
+      futures.push_back(pool.submit([&body, lo, hi] { body(lo, hi); }));
+    }
+  } catch (...) {
+    first_error = std::current_exception();
   }
-  for (auto& f : futures) f.get();
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

@@ -22,8 +22,13 @@ struct CliResult {
 };
 
 CliResult run_lint_cli(const std::string& args) {
+  // ctest runs every case as its own process, in parallel: key the capture
+  // file on the test name so concurrent cases never share it.
   const std::string err_path =
-      (std::filesystem::path(::testing::TempDir()) / "sgp_lint_cli_err.txt")
+      (std::filesystem::path(::testing::TempDir()) /
+       (std::string("sgp_lint_cli_err_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".txt"))
           .string();
   const std::string cmd = std::string(SGP_LINT_BIN) + " " + args + " 2> '" +
                           err_path + "' > /dev/null";

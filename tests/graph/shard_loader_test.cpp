@@ -1,7 +1,8 @@
-// EdgeListShardReader: shard rows must agree with the in-memory reader on
-// the same file — same node count, same per-row neighbor lists — under both
-// id policies, including the messy inputs read_edge_list tolerates
-// (comments, duplicates, self loops, both orientations).
+// EdgeListShardReader: shards must agree with the in-memory reader on the
+// same file — same node count, and every node's source-major list equal to
+// its neighbor list restricted to the shard — under both id policies,
+// including the messy inputs read_edge_list tolerates (comments, duplicates,
+// self loops, both orientations).
 #include "graph/shard_loader.hpp"
 
 #include <gtest/gtest.h>
@@ -37,21 +38,27 @@ class ShardLoaderTest : public testing::Test {
     out << content;
   }
 
-  /// Every shard row must equal the in-memory graph's neighbor list.
+  /// Every node's source-major list must equal its in-memory neighbor list
+  /// restricted to the shard's rows.
   void expect_shards_match(const Graph& g, IdPolicy policy,
                            std::size_t shard_rows) const {
     const EdgeListShardReader reader(path_, policy);
     ASSERT_EQ(reader.num_nodes(), g.num_nodes());
     for (std::size_t r0 = 0; r0 < g.num_nodes(); r0 += shard_rows) {
       const std::size_t r1 = std::min(g.num_nodes(), r0 + shard_rows);
-      const ShardRows shard = reader.load_shard(r0, r1);
+      const ShardBlock shard = reader.load_shard(r0, r1);
       EXPECT_EQ(shard.num_rows(), r1 - r0);
-      for (std::size_t u = r0; u < r1; ++u) {
-        const auto got = shard.neighbors(u);
-        const auto want = g.neighbors(u);
-        ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
-                  std::vector<std::uint32_t>(want.begin(), want.end()))
-            << "row " << u << " shard_rows " << shard_rows;
+      ASSERT_EQ(shard.offsets.size(), g.num_nodes() + 1);
+      for (std::size_t j = 0; j < g.num_nodes(); ++j) {
+        const std::uint32_t* targets = shard.targets.data();
+        const std::vector<std::uint32_t> got(targets + shard.offsets[j],
+                                             targets + shard.offsets[j + 1]);
+        std::vector<std::uint32_t> want;
+        for (const std::uint32_t i : g.neighbors(j)) {
+          if (i >= r0 && i < r1) want.push_back(i);
+        }
+        ASSERT_EQ(got, want)
+            << "source " << j << " shard [" << r0 << ", " << r1 << ")";
       }
     }
   }
@@ -93,7 +100,7 @@ TEST_F(ShardLoaderTest, EmptyFileHasNoNodes) {
   const EdgeListShardReader reader(path_);
   EXPECT_EQ(reader.num_nodes(), 0u);
   EXPECT_EQ(reader.edge_records(), 0u);
-  const ShardRows shard = reader.load_shard(0, 0);
+  const ShardBlock shard = reader.load_shard(0, 0);
   EXPECT_EQ(shard.num_rows(), 0u);
 }
 
@@ -113,6 +120,15 @@ TEST_F(ShardLoaderTest, DetectsFileChangedBetweenScanAndLoad) {
   const EdgeListShardReader reader(path_);
   write("0 1\n1 2\n2 3\n");  // grew behind the reader's back
   EXPECT_THROW((void)reader.load_shard(0, 1), util::IoError);
+}
+
+TEST_F(ShardLoaderTest, DetectsPreservedIdBeyondScannedNodeCount) {
+  write("0 1\n1 2\n");
+  const EdgeListShardReader reader(path_, IdPolicy::kPreserve);
+  ASSERT_EQ(reader.num_nodes(), 3u);
+  // Same record count, but an id the construction scan never bounded.
+  write("0 1\n1 9\n");
+  EXPECT_THROW((void)reader.load_shard(0, 2), util::IoError);
 }
 
 TEST_F(ShardLoaderTest, MalformedLinesStillRejected) {

@@ -29,6 +29,7 @@
 #include "graph/shard_loader.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
+#include "../reference_publish.hpp"
 
 namespace sgp {
 namespace {
@@ -327,7 +328,7 @@ TEST_F(ChaosTest, ShardedReleaseCrashResumesFromLedgerWithoutSecondCharge) {
 
   // Byte-identical to an uninterrupted run of the same charged release.
   std::ostringstream reference(std::ios::binary);
-  core::publish_to_stream(g, sopt.publish, reference);
+  test::reference_publish(g, sopt.publish, reference);
   std::ifstream in(out, std::ios::binary);
   std::ostringstream produced;
   produced << in.rdbuf();

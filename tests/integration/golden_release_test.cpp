@@ -1,6 +1,7 @@
-// End-to-end golden pin: a fixed-seed graph published through BOTH paths
-// (in-memory publish_to_stream and out-of-core publish_sharded) must equal
-// the byte-for-byte pinned release checked in under integration/golden/.
+// End-to-end golden pin: a fixed-seed graph published through every path
+// (the per-edge reference, the in-memory publisher and out-of-core
+// publish_sharded) must equal the byte-for-byte pinned release checked in
+// under integration/golden/.
 // This freezes the whole chain — generator stream, counter RNG, calibration
 // constants, header encoding, payload endianness — as one artifact; any
 // drift anywhere shows up as a byte diff here before it can silently change
@@ -21,6 +22,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "random/rng.hpp"
+#include "../reference_publish.hpp"
 
 namespace sgp::core {
 namespace {
@@ -72,7 +74,7 @@ TEST(GoldenRelease, InMemoryPathMatchesPinnedRelease) {
   const graph::Graph g =
       graph::read_edge_list_file(kEdgesPath, graph::IdPolicy::kPreserve);
   std::ostringstream out(std::ios::binary);
-  publish_to_stream(g, golden_options(), out);
+  test::reference_publish(g, golden_options(), out);
   if (update_mode()) {
     std::ofstream f(kReleasePath, std::ios::binary);
     f << out.str();
@@ -80,6 +82,21 @@ TEST(GoldenRelease, InMemoryPathMatchesPinnedRelease) {
   }
   EXPECT_EQ(out.str(), file_bytes(kReleasePath))
       << "publish pipeline byte drift (RNG, calibration, or format)";
+}
+
+// The reference above authors the pin; the library's own in-memory path
+// (publish_rows over the whole adjacency matrix, then save_published) must
+// reproduce it too.
+TEST(GoldenRelease, PublisherPathMatchesPinnedRelease) {
+  if (update_mode()) {
+    GTEST_SKIP() << "golden files are authored by the reference path";
+  }
+  const graph::Graph g =
+      graph::read_edge_list_file(kEdgesPath, graph::IdPolicy::kPreserve);
+  std::ostringstream out(std::ios::binary);
+  save_published(RandomProjectionPublisher(golden_options()).publish(g), out);
+  EXPECT_EQ(out.str(), file_bytes(kReleasePath))
+      << "in-memory publisher drifted from the pinned release";
 }
 
 TEST(GoldenRelease, ShardedPathMatchesPinnedRelease) {

@@ -32,6 +32,7 @@
 #include "random/rng.hpp"
 
 #include "../scenario/test_axes.hpp"
+#include "../reference_publish.hpp"
 
 namespace sgp::core {
 namespace {
@@ -79,7 +80,7 @@ class KernelDifferentialTest : public testing::Test {
   std::string streaming_bytes(
       const RandomProjectionPublisher::Options& opt) const {
     std::ostringstream out(std::ios::binary);
-    publish_to_stream(graph_, opt, out);
+    test::reference_publish(graph_, opt, out);
     return out.str();
   }
 

