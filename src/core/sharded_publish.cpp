@@ -219,9 +219,10 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
     obs::ScopedTimer shard_timer(obs::names::kPublishShard);
     shard_timer.attr("shard", s).attr("rows", r1 - r0);
 
-    // Loading a shard is idempotent (a fresh pass over the edge list), so
-    // a transient read failure — the io.shard.read fault point — is safely
-    // retried under the configured policy.
+    // Loading a shard is idempotent (a fresh read of the loader's spill of
+    // resolved edges, never of the text), so a transient read failure —
+    // the io.shard.read fault point — is safely retried under the
+    // configured policy.
     const graph::ShardBlock shard = util::retry_with_backoff(
         options.io_retry, "shard load",
         [&] { return reader.load_shard(r0, r1); });

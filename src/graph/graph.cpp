@@ -3,37 +3,30 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <utility>
 
+#include "graph/adjacency_build.hpp"
 #include "util/check.hpp"
 
 namespace sgp::graph {
 
 Graph Graph::from_edges(std::size_t num_nodes, std::span<const Edge> edges) {
-  // Normalize to both directions, validate, sort, dedup.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> directed;
-  directed.reserve(edges.size() * 2);
   for (const Edge& e : edges) {
     util::require(e.u < num_nodes && e.v < num_nodes,
                   "from_edges: endpoint out of range");
     util::require(e.u != e.v, "from_edges: self loops are not allowed");
-    directed.emplace_back(e.u, e.v);
-    directed.emplace_back(e.v, e.u);
   }
-  std::sort(directed.begin(), directed.end());
-  directed.erase(std::unique(directed.begin(), directed.end()),
-                 directed.end());
-
+  // Both directions of every edge; duplicates in either orientation merge.
+  detail::AdjacencyRows rows =
+      detail::build_adjacency(num_nodes, [&](const auto& emit) {
+        for (const Edge& e : edges) {
+          emit(e.u, e.v);
+          emit(e.v, e.u);
+        }
+      });
   Graph g;
-  g.offsets_.assign(num_nodes + 1, 0);
-  g.adjacency_.reserve(directed.size());
-  std::size_t i = 0;
-  for (std::size_t u = 0; u < num_nodes; ++u) {
-    while (i < directed.size() && directed[i].first == u) {
-      g.adjacency_.push_back(directed[i].second);
-      ++i;
-    }
-    g.offsets_[u + 1] = g.adjacency_.size();
-  }
+  g.offsets_ = std::move(rows.offsets);
+  g.adjacency_ = std::move(rows.targets);
   return g;
 }
 
@@ -67,15 +60,10 @@ std::vector<Edge> Graph::edges() const {
 }
 
 linalg::CsrMatrix Graph::adjacency_matrix() const {
-  std::vector<linalg::Triplet> trips;
-  trips.reserve(adjacency_.size());
-  for (std::size_t u = 0; u < num_nodes(); ++u) {
-    for (std::uint32_t v : neighbors(u)) {
-      trips.push_back({static_cast<std::uint32_t>(u), v, 1.0});
-    }
-  }
-  return linalg::CsrMatrix::from_triplets(num_nodes(), num_nodes(),
-                                          std::move(trips));
+  // The neighbor lists already are A's rows: sorted, distinct, all 1.0.
+  return linalg::CsrMatrix::from_csr(
+      num_nodes(), offsets_.empty() ? std::vector<std::size_t>{0} : offsets_,
+      adjacency_, std::vector<double>(adjacency_.size(), 1.0));
 }
 
 double Graph::average_degree() const {

@@ -2,6 +2,7 @@
 // one "u v" pair per line, '#' comment lines ignored.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -39,17 +40,32 @@ struct EdgeScanStats {
   std::size_t declared_nodes = 0; ///< header-declared node count (kPreserve)
 };
 
+/// Bytes scan_edge_list reads from its stream at a time. Lines that cross a
+/// block boundary, or are longer than one block, carry over to the next.
+inline constexpr std::size_t kEdgeScanChunkBytes = std::size_t{1} << 16;
+
 /// The streaming core under read_edge_list and the shard loader
 /// (graph/shard_loader.hpp): one pass over `in`, invoking
 /// `on_edge(u_raw, v_raw)` for every accepted edge line, with *identical*
 /// validation and header semantics to read_edge_list — so an out-of-core
 /// consumer sees exactly the edge sequence the in-memory reader would.
+/// Reads in kEdgeScanChunkBytes blocks; ids are read as `operator>>` reads
+/// a std::uint64_t in the classic locale (optional sign, '-' wrapping
+/// modulo 2^64, leading '\v'/'\f' skipped).
 /// Throws util::ParseError on malformed lines and, under kPreserve, on ids
 /// or header node counts above `max_preserved_id`; util::IoError on stream
 /// read errors.
 EdgeScanStats scan_edge_list(
     std::istream& in, IdPolicy policy, std::uint64_t max_preserved_id,
     const std::function<void(std::uint64_t, std::uint64_t)>& on_edge);
+
+/// scan_edge_list with both ids of every accepted edge resolved to node
+/// indices exactly as read_edge_list numbers them: first appearance under
+/// kCompact (the remap lives only for this call), the raw id under
+/// kPreserve. Returns the node count read_edge_list gives the graph.
+std::size_t scan_edge_list_resolved(
+    std::istream& in, IdPolicy policy, std::uint64_t max_preserved_id,
+    const std::function<void(std::uint32_t, std::uint32_t)>& on_edge);
 
 /// Parses an edge list from a stream. Self loops are dropped; duplicate
 /// edges merged. Throws util::ParseError on malformed lines, and — under

@@ -3,22 +3,28 @@
 // The publishing mechanism is row-separable (core/sharded_publish.hpp), so a
 // publisher never needs the whole graph in memory — only the adjacency
 // entries of the shard it is currently emitting. EdgeListShardReader
-// provides exactly that:
-// an initial streaming pass establishes the node count (and, under
-// IdPolicy::kCompact, the first-appearance id remap — the one O(n) structure
-// this loader keeps, a few dozen bytes per node versus the O(n·m) doubles of
-// a materialized release), after which load_shard() re-streams the file and
-// keeps only the edges incident to the requested row range.
+// provides exactly that, parsing the text file once:
+// the constructor's single scan establishes the node count, resolves every
+// edge record to dense node ids (under IdPolicy::kCompact through the
+// first-appearance remap, which is freed when the scan ends) and spills the
+// resolved (u, v) pairs, 8 bytes per edge record, to an anonymous temporary
+// file on disk. load_shard() never re-reads the text: it reads the spill
+// twice through a fixed buffer — once to count, once to fill — and keeps
+// only the entries that land in the requested row range.
 //
 // Semantics match the in-memory path bit for bit: both run on
 // scan_edge_list (graph/io.hpp), so parsing, header handling, id caps and
-// self-loop dropping are shared code, and each source's list of shard rows
-// is sorted and deduplicated exactly as Graph::from_edges would produce it.
+// self-loop dropping are shared code, and both build their rows with the
+// same counting-sort routine (graph/adjacency_build.hpp), so each source's
+// list of shard rows is sorted and deduplicated exactly as
+// Graph::from_edges produces it. The shards describe the file as it was
+// when the reader was constructed, whatever happens to it afterwards.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/io.hpp"
@@ -46,13 +52,16 @@ struct ShardBlock {
 };
 
 /// Streams row shards of an edge-list file without materializing the graph.
-/// Construction performs one full scan (node count, edge count, id remap);
-/// each load_shard() performs another. Working memory per load_shard() is
-/// O(|E_shard| + n) plus the persistent remap.
+/// Construction performs the only scan of the text (node count, edge count,
+/// the resolved-pair spill); each load_shard() reads the spill. Working
+/// memory per load_shard() is the shard's offsets and targets,
+/// O(|E_shard| + n), plus a fixed read buffer. Move-only (it owns the
+/// spill).
 class EdgeListShardReader {
  public:
-  /// Opens and scans `path`. Throws util::IoError if unreadable and
-  /// util::ParseError on malformed content (same grammar as read_edge_list).
+  /// Opens and scans `path`. Throws util::IoError if unreadable or if the
+  /// spill cannot be written, and util::ParseError on malformed content
+  /// (same grammar as read_edge_list).
   explicit EdgeListShardReader(
       std::string path, IdPolicy policy = IdPolicy::kCompact,
       std::uint64_t max_preserved_id = kDefaultMaxPreservedNodeId);
@@ -64,20 +73,21 @@ class EdgeListShardReader {
   [[nodiscard]] std::size_t edge_records() const { return edge_records_; }
 
   /// Loads rows [row_begin, row_end) in source-major form. Requires
-  /// row_begin <= row_end <= num_nodes(). Re-reads the file; throws
-  /// util::IoError if it changed shape since construction (defensive — the
-  /// scan counts and node ids must still match).
+  /// row_begin <= row_end <= num_nodes(). Reads only the spill, never the
+  /// text file; safe to call from several threads at once. Throws
+  /// util::IoError if the spill cannot be read back.
   [[nodiscard]] ShardBlock load_shard(std::size_t row_begin,
                                       std::size_t row_end) const;
 
  private:
-  std::string path_;
-  IdPolicy policy_;
-  std::uint64_t max_preserved_id_;
+  struct FileCloser {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+
   std::size_t num_nodes_ = 0;
   std::size_t edge_records_ = 0;
-  /// kCompact only: raw file id -> dense node index, first-appearance order.
-  std::unordered_map<std::uint64_t, std::uint32_t> remap_;
+  /// Unlinked temporary file of edge_records_ resolved (u, v) uint32 pairs.
+  std::unique_ptr<std::FILE, FileCloser> spill_;
 };
 
 }  // namespace sgp::graph

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
@@ -42,6 +43,32 @@ CsrMatrix CsrMatrix::from_triplets(std::size_t rows, std::size_t cols,
     }
     m.row_ptr_[r + 1] = m.col_idx_.size();
   }
+  return m;
+}
+
+CsrMatrix CsrMatrix::from_csr(std::size_t cols,
+                              std::vector<std::size_t> row_ptr,
+                              std::vector<std::uint32_t> col_idx,
+                              std::vector<double> values) {
+  util::require(!row_ptr.empty() && row_ptr.front() == 0 &&
+                    row_ptr.back() == col_idx.size() &&
+                    values.size() == col_idx.size(),
+                "from_csr: array sizes disagree");
+  for (std::size_t r = 0; r + 1 < row_ptr.size(); ++r) {
+    util::require(row_ptr[r] <= row_ptr[r + 1] &&
+                      row_ptr[r + 1] <= col_idx.size(),
+                  "from_csr: row pointers must not decrease");
+    for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      util::require(col_idx[k] < cols &&
+                        (k == row_ptr[r] || col_idx[k - 1] < col_idx[k]),
+                    "from_csr: row columns must ascend within bounds");
+    }
+  }
+  CsrMatrix m;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
   return m;
 }
 

@@ -88,6 +88,14 @@ class CsrMatrix {
   static CsrMatrix from_triplets(std::size_t rows, std::size_t cols,
                                  std::vector<Triplet> triplets);
 
+  /// Adopts CSR arrays as they are: `row_ptr` (size rows + 1, from 0,
+  /// non-decreasing, ending at nnz), each row's `col_idx` strictly
+  /// ascending and below `cols`, `values` aligned with `col_idx`. Checked in
+  /// O(rows + nnz); no sort and no copy.
+  static CsrMatrix from_csr(std::size_t cols, std::vector<std::size_t> row_ptr,
+                            std::vector<std::uint32_t> col_idx,
+                            std::vector<double> values);
+
   [[nodiscard]] std::size_t rows() const { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] std::size_t nnz() const { return values_.size(); }

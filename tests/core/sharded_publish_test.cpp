@@ -251,6 +251,26 @@ TEST_F(ShardedPublishTest, PRowsGeneratedCountsSourcesReachingEachShard) {
   obs::set_metrics_enabled(metrics_were_enabled);
 }
 
+// The text is parsed once per release, whatever the shard count: the
+// reader's construction scan is the only pass that reads edge records.
+TEST_F(ShardedPublishTest, ParsesTheEdgeListOncePerRelease) {
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& edges_read = obs::counter(obs::names::kIoEdgesRead);
+  const std::uint64_t before = edges_read.value();
+  const graph::EdgeListShardReader reader(edges_path_,
+                                          graph::IdPolicy::kPreserve);
+  ShardedPublishOptions opt;
+  opt.publish = publish_options();
+  opt.shard_rows = (reader.num_nodes() + 3) / 4;
+  opt.resume = false;
+  const ShardedPublishResult result = publish_sharded(reader, opt, out_path_);
+  EXPECT_EQ(result.shards_total, 4u);
+  EXPECT_EQ(edges_read.value() - before, reader.edge_records());
+  EXPECT_EQ(out_bytes(), reference_bytes());
+  obs::set_metrics_enabled(metrics_were_enabled);
+}
+
 TEST_F(ShardedPublishTest, RejectsBadDimensions) {
   graph::EdgeListShardReader reader(edges_path_, graph::IdPolicy::kPreserve);
   ShardedPublishOptions opt;

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -40,9 +42,8 @@ class ShardLoaderTest : public testing::Test {
 
   /// Every node's source-major list must equal its in-memory neighbor list
   /// restricted to the shard's rows.
-  void expect_shards_match(const Graph& g, IdPolicy policy,
-                           std::size_t shard_rows) const {
-    const EdgeListShardReader reader(path_, policy);
+  static void expect_shards_match(const EdgeListShardReader& reader,
+                                  const Graph& g, std::size_t shard_rows) {
     ASSERT_EQ(reader.num_nodes(), g.num_nodes());
     for (std::size_t r0 = 0; r0 < g.num_nodes(); r0 += shard_rows) {
       const std::size_t r1 = std::min(g.num_nodes(), r0 + shard_rows);
@@ -61,6 +62,11 @@ class ShardLoaderTest : public testing::Test {
             << "source " << j << " shard [" << r0 << ", " << r1 << ")";
       }
     }
+  }
+
+  void expect_shards_match(const Graph& g, IdPolicy policy,
+                           std::size_t shard_rows) const {
+    expect_shards_match(EdgeListShardReader(path_, policy), g, shard_rows);
   }
 
   std::string path_;
@@ -115,20 +121,62 @@ TEST_F(ShardLoaderTest, MissingFileThrowsIoError) {
   EXPECT_THROW((void)EdgeListShardReader(path_ + ".nope"), util::IoError);
 }
 
-TEST_F(ShardLoaderTest, DetectsFileChangedBetweenScanAndLoad) {
-  write("0 1\n1 2\n");
-  const EdgeListShardReader reader(path_);
-  write("0 1\n1 2\n2 3\n");  // grew behind the reader's back
-  EXPECT_THROW((void)reader.load_shard(0, 1), util::IoError);
+// load_shard reads the reader's own spill, never the text again: shards
+// describe the file as construction scanned it, whatever happens to it
+// afterwards — it may grow, gain ids the scan never saw, or disappear.
+TEST_F(ShardLoaderTest, ShardsAreASnapshotOfTheScannedFile) {
+  for (const IdPolicy policy : {IdPolicy::kCompact, IdPolicy::kPreserve}) {
+    write("# sgp edge list: 6 nodes, 3 edges\n0 1\n1 2\n4 2\n2 1\n");
+    std::ifstream in(path_);
+    const Graph g = read_edge_list(in, policy);
+    const EdgeListShardReader reader(path_, policy);
+    write("0 1\n1 9\n2 3\n3 4\n4 5\n77 78\n");
+    ASSERT_EQ(reader.edge_records(), 4u);
+    for (const bool removed : {false, true}) {
+      if (removed) std::remove(path_.c_str());
+      for (const std::size_t shard_rows : {std::size_t{1}, std::size_t{2},
+                                           g.num_nodes()}) {
+        expect_shards_match(reader, g, shard_rows);
+      }
+    }
+  }
 }
 
-TEST_F(ShardLoaderTest, DetectsPreservedIdBeyondScannedNodeCount) {
-  write("0 1\n1 2\n");
+// load_shard is const and reads the spill with pread, so concurrent loads
+// of one reader must each see exactly what a lone load sees.
+TEST_F(ShardLoaderTest, ConcurrentLoadsMatchSequentialOnes) {
+  random::Rng rng(11);
+  write_edge_list_file(barabasi_albert(400, 3, rng), path_);
   const EdgeListShardReader reader(path_, IdPolicy::kPreserve);
-  ASSERT_EQ(reader.num_nodes(), 3u);
-  // Same record count, but an id the construction scan never bounded.
-  write("0 1\n1 9\n");
-  EXPECT_THROW((void)reader.load_shard(0, 2), util::IoError);
+  constexpr std::size_t kShards = 4;
+  const std::size_t rows = (reader.num_nodes() + kShards - 1) / kShards;
+  std::vector<ShardBlock> sequential;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    sequential.push_back(reader.load_shard(
+        s * rows, std::min(reader.num_nodes(), (s + 1) * rows)));
+  }
+  std::vector<ShardBlock> concurrent(kShards);
+  std::vector<std::thread> threads;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    threads.emplace_back([&, s] {
+      concurrent[s] = reader.load_shard(
+          s * rows, std::min(reader.num_nodes(), (s + 1) * rows));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(concurrent[s].offsets, sequential[s].offsets) << "shard " << s;
+    EXPECT_EQ(concurrent[s].targets, sequential[s].targets) << "shard " << s;
+  }
+}
+
+TEST_F(ShardLoaderTest, ReaderMovesWithItsSpill) {
+  write("0 1\n1 2\n");
+  EdgeListShardReader first(path_);
+  const EdgeListShardReader moved(std::move(first));
+  std::remove(path_.c_str());
+  const ShardBlock shard = moved.load_shard(0, 3);
+  EXPECT_EQ(shard.targets.size(), 4u);
 }
 
 TEST_F(ShardLoaderTest, MalformedLinesStillRejected) {

@@ -50,6 +50,38 @@ TEST(CsrTest, DuplicatesAreSummed) {
   EXPECT_DOUBLE_EQ(m.at(0, 0), 4.0);
 }
 
+TEST(CsrTest, FromCsrAdoptsValidArrays) {
+  const CsrMatrix m = CsrMatrix::from_csr(4, {0, 2, 2, 3}, {0, 3, 1},
+                                          {1.5, -2.0, 4.0});
+  EXPECT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m.cols(), 4u);
+  EXPECT_EQ(m.nnz(), 3u);
+  EXPECT_DOUBLE_EQ(m.at(0, 3), -2.0);
+  EXPECT_DOUBLE_EQ(m.at(2, 1), 4.0);
+  EXPECT_EQ(CsrMatrix::from_csr(0, {0}, {}, {}).rows(), 0u);
+}
+
+TEST(CsrTest, FromCsrRejectsMalformedArrays) {
+  EXPECT_THROW((void)CsrMatrix::from_csr(2, {}, {}, {}),
+               std::invalid_argument);                        // no row_ptr
+  EXPECT_THROW((void)CsrMatrix::from_csr(2, {1, 1}, {0}, {1.0}),
+               std::invalid_argument);                        // not from 0
+  EXPECT_THROW((void)CsrMatrix::from_csr(2, {0, 2}, {0}, {1.0}),
+               std::invalid_argument);                        // nnz mismatch
+  EXPECT_THROW((void)CsrMatrix::from_csr(2, {0, 1}, {0}, {}),
+               std::invalid_argument);                        // values short
+  EXPECT_THROW((void)CsrMatrix::from_csr(2, {0, 2, 1, 2}, {0, 1}, {1.0, 1.0}),
+               std::invalid_argument);                        // decreasing
+  EXPECT_THROW((void)CsrMatrix::from_csr(2, {0, 3, 2}, {0, 1}, {1.0, 1.0}),
+               std::invalid_argument);                        // past nnz
+  EXPECT_THROW((void)CsrMatrix::from_csr(2, {0, 1}, {2}, {1.0}),
+               std::invalid_argument);                        // column >= cols
+  EXPECT_THROW((void)CsrMatrix::from_csr(3, {0, 2}, {1, 1}, {1.0, 1.0}),
+               std::invalid_argument);                        // duplicate
+  EXPECT_THROW((void)CsrMatrix::from_csr(3, {0, 2}, {2, 1}, {1.0, 1.0}),
+               std::invalid_argument);                        // unsorted
+}
+
 TEST(CsrTest, RowAccessSorted) {
   const auto m = small();
   const auto idx = m.row_indices(2);

@@ -23,7 +23,7 @@
 //
 // With --shard-rows (or --max-memory-mb, which derives a shard height from
 // a memory budget — docs/scaling.md) the release is produced out of core:
-// the graph is never materialized, row shards stream from the edge list and
+// the graph is never materialized, row shards are built one at a time and
 // append to the release file one by one, still byte-identical to the other
 // paths. A crash mid-shard leaves a `<out>.ckpt` checkpoint; rerunning the
 // same command resumes at the last complete shard (--no-resume starts
@@ -135,9 +135,10 @@ int main(int argc, char** argv) {
     if (shard_rows_flag > 0 || max_memory_mb > 0 || workers_flag > 0 ||
         args.get_bool("streaming", false)) {
       // Out-of-core path: the graph is never materialized — the reader
-      // scans the file once for shape, then streams one row shard at a
-      // time through publish_sharded (or hands shards to worker processes
-      // under --workers).
+      // parses the file once, spilling the resolved edges (8 bytes per
+      // edge record) to an anonymous temporary file, and each row shard is
+      // built from that spill for publish_sharded (or for the worker
+      // processes under --workers, each of which parses the file once).
       sgp::obs::ScopedTimer scan_timer(sgp::obs::names::kToolLoadGraph);
       sgp::graph::EdgeListShardReader reader(edges_path, policy);
       std::fprintf(stderr, "scanned %zu nodes / %zu edge records in %.2fs\n",
