@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "linalg/vector_ops.hpp"
 #include "obs/metric_names.hpp"
@@ -23,6 +24,37 @@ double squared_distance(std::span<const double> a, std::span<const double> b) {
     acc += d * d;
   }
   return acc;
+}
+
+/// Index of the centroid nearest to `point` (ties keep the lower index) and
+/// its squared distance. Centroids are measured four at a time, each by its
+/// own accumulator summing in dimension order — the exact value
+/// squared_distance returns — so the four add chains run independently
+/// instead of one chain bounding the scan by its latency.
+std::pair<std::uint32_t, double> nearest_centroid(
+    std::span<const double> point, const linalg::DenseMatrix& centroids) {
+  const std::size_t k = centroids.rows();
+  double best = std::numeric_limits<double>::max();
+  std::uint32_t best_c = 0;
+  const auto consider = [&](std::size_t c, double d2) {
+    if (d2 < best) {
+      best = d2;
+      best_c = static_cast<std::uint32_t>(c);
+    }
+  };
+  std::size_t c = 0;
+  for (; c + 4 <= k; c += 4) {
+    double acc[4] = {};
+    for (std::size_t j = 0; j < point.size(); ++j) {
+      for (std::size_t b = 0; b < 4; ++b) {
+        const double d = point[j] - centroids(c + b, j);
+        acc[b] += d * d;
+      }
+    }
+    for (std::size_t b = 0; b < 4; ++b) consider(c + b, acc[b]);
+  }
+  for (; c < k; ++c) consider(c, squared_distance(point, centroids.row(c)));
+  return {best_c, best};
 }
 
 /// k-means++ seeding: first centroid uniform, subsequent ones sampled with
@@ -86,18 +118,10 @@ KMeansResult lloyd_run(const linalg::DenseMatrix& points,
           0, n,
           [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {
-              double best = std::numeric_limits<double>::max();
-              std::uint32_t best_c = 0;
-              for (std::size_t c = 0; c < k; ++c) {
-                const double d2 =
-                    squared_distance(points.row(i), result.centroids.row(c));
-                if (d2 < best) {
-                  best = d2;
-                  best_c = static_cast<std::uint32_t>(c);
-                }
-              }
-              result.assignments[i] = best_c;
-              point_cost[i] = best;
+              const auto [c, d2] =
+                  nearest_centroid(points.row(i), result.centroids);
+              result.assignments[i] = c;
+              point_cost[i] = d2;
             }
           },
           512);

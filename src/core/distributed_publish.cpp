@@ -16,7 +16,6 @@
 
 #include "core/projection.hpp"
 #include "core/serialization.hpp"
-#include "core/theory.hpp"
 #include "dp/defaults.hpp"
 #include "dp/privacy.hpp"
 #include "obs/event_log.hpp"
@@ -40,31 +39,6 @@ namespace sgp::core {
 namespace {
 
 constexpr char kLeaseMagic[] = "sgp-shard-lease v1";
-
-std::string crc_hex_of(std::string_view bytes) {
-  char hex[16];
-  std::snprintf(hex, sizeof(hex), "%08x", util::crc32(bytes));
-  return hex;
-}
-
-std::string crc_hex_of_u32(std::uint32_t crc) {
-  char hex[16];
-  std::snprintf(hex, sizeof(hex), "%08x", crc);
-  return hex;
-}
-
-std::string with_crc(const std::string& body) {
-  return body + " crc " + crc_hex_of(body);
-}
-
-/// Validates a CRC-guarded record line; on success strips the trailer into
-/// `body`. A torn or bit-flipped line simply compares unequal.
-bool crc_line_ok(const std::string& line, std::string& body) {
-  const std::size_t pos = line.rfind(" crc ");
-  if (pos == std::string::npos) return false;
-  body = line.substr(0, pos);
-  return with_crc(body) == line;
-}
 
 std::string shard_payload_path(const std::string& out_path, std::size_t s) {
   return out_path + ".shard." + std::to_string(s);
@@ -104,23 +78,22 @@ std::optional<std::uint32_t> verify_payload(const std::string& path,
 std::string lease_record(std::size_t s, std::size_t worker, std::size_t gen) {
   std::ostringstream out;
   out << "lease " << s << " worker " << worker << " gen " << gen;
-  return with_crc(out.str());
+  return util::crc_frame(out.str());
 }
 
 std::string reclaim_record(std::size_t s, std::size_t worker,
                            const char* reason) {
   std::ostringstream out;
   out << "reclaim " << s << " worker " << worker << " reason " << reason;
-  return with_crc(out.str());
+  return util::crc_frame(out.str());
 }
 
 std::string complete_record(std::size_t s, std::uint64_t bytes,
                             std::uint32_t payload_crc) {
-  char hex[16];
-  std::snprintf(hex, sizeof(hex), "%08x", payload_crc);
   std::ostringstream out;
-  out << "complete " << s << " bytes " << bytes << " payload " << hex;
-  return with_crc(out.str());
+  out << "complete " << s << " bytes " << bytes << " payload "
+      << util::crc32_hex(payload_crc);
+  return util::crc_frame(out.str());
 }
 
 /// Commits a payload tile atomically: write to `<path>.tmp`, flush, rename.
@@ -169,7 +142,7 @@ std::map<std::size_t, std::uint32_t> resumable_shards(
   if (!std::getline(in, line) || line != config) return done;
   while (std::getline(in, line)) {
     std::string body;
-    if (!crc_line_ok(line, body)) break;
+    if (!util::crc_unframe(line, body)) break;
     std::istringstream fields(body);
     std::string kind;
     fields >> kind;
@@ -185,9 +158,7 @@ std::map<std::size_t, std::uint32_t> resumable_shards(
     }
     const auto crc = verify_payload(shard_payload_path(out_path, s), bytes);
     if (!crc) continue;
-    char hex[16];
-    std::snprintf(hex, sizeof(hex), "%08x", *crc);
-    if (recorded_hex == hex) done[s] = *crc;
+    if (recorded_hex == util::crc32_hex(*crc)) done[s] = *crc;
   }
   return done;
 }
@@ -235,13 +206,10 @@ DistributedPublishResult publish_distributed(
   const std::size_t workers = std::max<std::size_t>(1, options.workers);
 
   const ShardPlan plan = plan_shards(n, options.sharded.shard_rows);
-  const NoiseCalibration calibration = calibrate_noise(
-      m, options.sharded.publish.params,
-      options.sharded.publish.analytic_calibration,
-      options.sharded.publish.delta_split);
+  const NoiseCalibration calibration = calibrate(options.sharded.publish);
   const std::string config =
       shard_config_line(options.sharded, n, m, calibration, plan);
-  const std::string config_crc = crc_hex_of(config);
+  const std::string config_crc = util::crc32_hex(util::crc32(config));
 
   // The observability plane: mint the release trace id and open the
   // coordinator's sidecar before any span or lifecycle event fires. The
@@ -294,7 +262,6 @@ DistributedPublishResult publish_distributed(
   result.shards_total = plan.num_shards();
   result.shards_resumed = completed.size();
   result.trace_id = trace_id;
-  result.calibration = calibration;
   if (!completed.empty()) {
     obs::counter(obs::names::kPublishShardsResumed).add(completed.size());
     for (const std::size_t s : completed) {
@@ -333,7 +300,7 @@ DistributedPublishResult publish_distributed(
     obs::log_event(obs::names::kEventShardCommitted,
                    {{"shard", std::to_string(s)},
                     {"bytes", std::to_string(payload_bytes_for(plan, s, m))},
-                    {"payload", crc_hex_of_u32(crc)}});
+                    {"payload", util::crc32_hex(crc)}});
   };
 
   struct Slot {
@@ -655,15 +622,13 @@ int run_publish_worker(const util::CliArgs& args) {
   const std::size_t n = reader.num_nodes();
   const std::size_t m = opt.publish.projection_dim;
   const ShardPlan plan = plan_shards(n, opt.shard_rows);
-  const NoiseCalibration calibration =
-      calibrate_noise(m, opt.publish.params, opt.publish.analytic_calibration,
-                      opt.publish.delta_split);
+  const NoiseCalibration calibration = calibrate(opt.publish);
 
   // Drift guard: the coordinator hands over the CRC of its config record;
   // a worker whose own derivation disagrees would publish different bytes,
   // so it must refuse rather than contribute a payload.
   const std::string config = shard_config_line(opt, n, m, calibration, plan);
-  const std::string derived_crc = crc_hex_of(config);
+  const std::string derived_crc = util::crc32_hex(util::crc32(config));
   const std::string expected_crc = args.get_string("config-crc", "");
   if (expected_crc != derived_crc) {
     throw util::ParseError("worker: config drift (coordinator crc '" +
@@ -733,7 +698,7 @@ int run_publish_worker(const util::CliArgs& args) {
     // every later one held by this worker) must be reclaimed.
     util::fault_point(util::fault_points::kProcWorkerExit);
     util::fault_point(util::fault_points::kLeaseHeartbeat);
-    progress << with_crc("hb " + std::to_string(seq++)) << '\n';
+    progress << util::crc_frame("hb " + std::to_string(seq++)) << '\n';
     progress.flush();
     obs::log_event(obs::names::kEventWorkerShardStart,
                    {{"shard", std::to_string(s)},
@@ -765,7 +730,7 @@ int run_publish_worker(const util::CliArgs& args) {
     // note — the coordinator must salvage the verified payload instead of
     // recomputing it.
     util::fault_point(util::fault_points::kProcWorkerExit);
-    progress << with_crc("done " + std::to_string(s)) << '\n';
+    progress << util::crc_frame("done " + std::to_string(s)) << '\n';
     progress.flush();
   }
   sampler.stop();

@@ -104,7 +104,6 @@ struct DistributedPublishResult {
   std::size_t shards_inprocess = 0;
   /// Release-level trace id (empty unless obs_sidecar_prefix was set).
   std::string trace_id;
-  NoiseCalibration calibration;
 };
 
 /// Publishes the graph behind `reader` to `out_path` through the

@@ -26,20 +26,12 @@ namespace {
 
 constexpr const char kMagic[] = "sgp-budget-ledger v1";
 
-/// The record line up to (not including) the " crc <hex>" suffix.
-std::string record_body(const BudgetLedger::Record& r) {
+std::string record_line(const BudgetLedger::Record& r) {
   std::ostringstream out;
   out.precision(17);  // max_digits10: values must survive a round trip
   out << "release " << r.index << " epsilon " << r.epsilon << " delta "
       << r.delta << " sigma " << r.sigma << " sensitivity " << r.sensitivity;
-  return out.str();
-}
-
-std::string record_line(const BudgetLedger::Record& r) {
-  const std::string body = record_body(r);
-  char crc_hex[16];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", util::crc32(body));
-  return body + " crc " + crc_hex;
+  return util::crc_frame(out.str());
 }
 
 [[noreturn]] void corrupt(const std::string& path, std::size_t line_no,
@@ -52,14 +44,11 @@ BudgetLedger::Record parse_record(const std::string& path,
                                   std::size_t line_no,
                                   const std::string& line,
                                   std::uint64_t expected_index) {
-  const std::size_t crc_at = line.rfind(" crc ");
-  if (crc_at == std::string::npos) corrupt(path, line_no, "missing checksum");
-  const std::string body = line.substr(0, crc_at);
-  const std::string crc_field = line.substr(crc_at + 5);
-
-  char expected_hex[16];
-  std::snprintf(expected_hex, sizeof(expected_hex), "%08x", util::crc32(body));
-  if (crc_field != expected_hex) {
+  if (line.rfind(" crc ") == std::string::npos) {
+    corrupt(path, line_no, "missing checksum");
+  }
+  std::string body;
+  if (!util::crc_unframe(line, body)) {
     obs::counter(obs::names::kLedgerCrcFailures).add();
     corrupt(path, line_no, "checksum mismatch (record altered or truncated)");
   }

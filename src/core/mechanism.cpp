@@ -269,6 +269,17 @@ void account_community(const MechanismOptions& options, double sensitivity,
   accountant.record_laplace(counts_sigma / sensitivity);
 }
 
+/// The publisher options a projection release runs under: the mechanism's
+/// m, budget and seed over the publisher's defaults.
+RandomProjectionPublisher::Options projection_options(
+    const MechanismOptions& options) {
+  RandomProjectionPublisher::Options popt;
+  popt.projection_dim = options.projection_dim;
+  popt.params = options.params;
+  popt.seed = options.seed;
+  return popt;
+}
+
 class ProjectionMechanism final : public Mechanism {
  public:
   [[nodiscard]] MechanismKind kind() const override {
@@ -278,8 +289,7 @@ class ProjectionMechanism final : public Mechanism {
  protected:
   [[nodiscard]] BudgetLedger::Record charge(
       const MechanismOptions& options) const override {
-    const NoiseCalibration calibration =
-        calibrate_noise(options.projection_dim, options.params);
+    const NoiseCalibration calibration = calibrate(projection_options(options));
     BudgetLedger::Record record;
     record.epsilon = options.params.epsilon;
     record.delta = options.params.delta;
@@ -288,19 +298,16 @@ class ProjectionMechanism final : public Mechanism {
     return record;
   }
 
-  void account(const MechanismOptions& options,
+  void account(const BudgetLedger::Record& record,
+               const MechanismOptions& /*options*/,
                dp::RdpAccountant& accountant) const override {
-    const BudgetLedger::Record record = charge(options);
     accountant.record_gaussian(record.sigma / record.sensitivity);
   }
 
   [[nodiscard]] MechanismRelease build(
-      const graph::Graph& g, const MechanismOptions& options) const override {
-    RandomProjectionPublisher::Options popt;
-    popt.projection_dim = options.projection_dim;
-    popt.params = options.params;
-    popt.seed = options.seed;
-    const RandomProjectionPublisher publisher(popt);
+      const graph::Graph& g, const MechanismOptions& options,
+      const BudgetLedger::Record& /*record*/) const override {
+    const RandomProjectionPublisher publisher(projection_options(options));
     MechanismRelease release;
     release.num_nodes = g.num_nodes();
     release.matrix = publisher.publish(g);
@@ -328,17 +335,17 @@ class PrivGraphMechanism final : public Mechanism {
     return record;
   }
 
-  void account(const MechanismOptions& options,
+  void account(const BudgetLedger::Record& record,
+               const MechanismOptions& options,
                dp::RdpAccountant& accountant) const override {
-    const BudgetLedger::Record record = charge(options);
     account_community(options, record.sensitivity, record.sigma, accountant);
   }
 
   [[nodiscard]] MechanismRelease build(
-      const graph::Graph& g, const MechanismOptions& options) const override {
+      const graph::Graph& g, const MechanismOptions& options,
+      const BudgetLedger::Record& record) const override {
     const dp::BudgetSplit split =
         dp::split_budget(options.params, options.partition_share);
-    const BudgetLedger::Record record = charge(options);
     return build_community_release(g, record.sensitivity, split.partition,
                                    record.sigma, options);
   }
@@ -367,17 +374,17 @@ class NodeCommunityMechanism final : public Mechanism {
     return record;
   }
 
-  void account(const MechanismOptions& options,
+  void account(const BudgetLedger::Record& record,
+               const MechanismOptions& options,
                dp::RdpAccountant& accountant) const override {
-    const BudgetLedger::Record record = charge(options);
     account_community(options, record.sensitivity, record.sigma, accountant);
   }
 
   [[nodiscard]] MechanismRelease build(
-      const graph::Graph& g, const MechanismOptions& options) const override {
+      const graph::Graph& g, const MechanismOptions& options,
+      const BudgetLedger::Record& record) const override {
     const dp::BudgetSplit split =
         dp::split_budget(options.params, options.partition_share);
-    const BudgetLedger::Record record = charge(options);
     // On the D-capped graph one node rewrites at most max_degree edges, so
     // every released count carries the full ℓ1-sensitivity D.
     const graph::Graph capped = clamp_degrees(g, options.max_degree);
@@ -454,10 +461,10 @@ MechanismRelease Mechanism::publish(const graph::Graph& g,
     options.ledger->append(record);
   }
   if (options.accountant != nullptr) {
-    account(options, *options.accountant);
+    account(record, options, *options.accountant);
   }
 
-  MechanismRelease release = build(g, options);
+  MechanismRelease release = build(g, options, record);
   release.kind = kind();
   release.charged = options.params;
   obs::counter(obs::names::kMechanismReleases).add();

@@ -108,17 +108,22 @@ class Mechanism {
 
  protected:
   /// The ledger record this release will charge (index filled in by the base
-  /// class): ε/δ plus the noise scale and sensitivity actually used.
+  /// class): ε/δ plus the noise scale and sensitivity actually used. Called
+  /// once per publish; account() and build() receive its result.
   [[nodiscard]] virtual BudgetLedger::Record charge(
       const MechanismOptions& options) const = 0;
 
-  /// Accumulates this release's RDP curve into `accountant`.
-  virtual void account(const MechanismOptions& options,
+  /// Accumulates the RDP curve of the release charged as `record` into
+  /// `accountant`.
+  virtual void account(const BudgetLedger::Record& record,
+                       const MechanismOptions& options,
                        dp::RdpAccountant& accountant) const = 0;
 
-  /// Builds the release artifact; the budget is already charged.
+  /// Builds the release artifact at the noise scale and sensitivity of
+  /// `record`; the budget is already charged.
   [[nodiscard]] virtual MechanismRelease build(
-      const graph::Graph& g, const MechanismOptions& options) const = 0;
+      const graph::Graph& g, const MechanismOptions& options,
+      const BudgetLedger::Record& record) const = 0;
 };
 
 /// Factory over the registry; the string overload accepts the names

@@ -86,9 +86,7 @@ PublishedGraph RandomProjectionPublisher::publish_matrix(
   // σ is calibrated to the projected-row sensitivity, scaled by the
   // per-entry change bound (the row change is ±max_entry_change·P_j).
   PublishedGraph out;
-  out.calibration =
-      calibrate_noise(m, options_.params, options_.analytic_calibration,
-                      options_.delta_split);
+  out.calibration = calibrate(options_);
   out.calibration.sensitivity *= max_entry_change;
   out.calibration.sigma *= max_entry_change;
 
@@ -127,6 +125,11 @@ PublishedGraph RandomProjectionPublisher::publish_matrix(
   out.projection = options_.projection;
   out.projection_rng = projection_rng_for(options_.projection, kernel);
   return out;
+}
+
+NoiseCalibration calibrate(const RandomProjectionPublisher::Options& options) {
+  return calibrate_noise(options.projection_dim, options.params,
+                         options.analytic_calibration, options.delta_split);
 }
 
 void publish_rows(const linalg::SourceMajorBlock& block, std::size_t row_begin,

@@ -120,6 +120,15 @@ class RandomProjectionPublisher {
   Options options_;
 };
 
+/// The calibration record of a release under `options`: the one place that
+/// turns (m, ε, δ, analytic_calibration, delta_split) into σ and Δ. Every
+/// publish mode, the session and the projection mechanism call it once and
+/// pass the record down, so the σ in the release header, the σ the kernel
+/// adds and the σ the budget ledger charges are the same value by
+/// construction.
+[[nodiscard]] NoiseCalibration calibrate(
+    const RandomProjectionPublisher::Options& options);
+
 /// The one publish kernel: rows [row_begin, row_end) of the release,
 ///   Ỹ_i = Σ_j A_ij · P_j + σ·N_i,
 /// into `out` (resized to (row_end − row_begin)·m, row-major). `block` is the

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/theory.hpp"
+#include "dp/rdp_accountant.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
@@ -33,6 +33,7 @@ PublishingSession::PublishingSession(Options options)
   per_release.validate();
   util::require(per_release.epsilon <= options_.total_budget.epsilon,
                 "session: per-release epsilon exceeds the total budget");
+  calibration_ = calibrate(options_.publisher);
 }
 
 PublishingSession::PublishingSession(Options options,
@@ -40,9 +41,6 @@ PublishingSession::PublishingSession(Options options,
     : PublishingSession(std::move(options)) {
   ledger_ = std::make_unique<BudgetLedger>(ledger_path);
   const auto& per = options_.publisher.params;
-  const NoiseCalibration cal = calibrate_noise(
-      options_.publisher.projection_dim, per,
-      options_.publisher.analytic_calibration, options_.publisher.delta_split);
   for (const BudgetLedger::Record& r : ledger_->records()) {
     if (!close(r.epsilon, per.epsilon) || !close(r.delta, per.delta)) {
       throw util::LedgerCorruptError(
@@ -51,9 +49,6 @@ PublishingSession::PublishingSession(Options options,
           " was written under different per-release parameters than this "
           "session is configured with — refusing to recover");
     }
-    basic_.record({r.epsilon, r.delta});
-    rdp_.record_gaussian(r.sigma / r.sensitivity);
-    delta_projection_sum_ += cal.delta_projection;
   }
   releases_ = ledger_->size();
 }
@@ -68,15 +63,12 @@ dp::PrivacyParams PublishingSession::spent_after(std::size_t releases) const {
   // Path 2: RDP of the Gaussian part. Each release is a Gaussian mechanism
   // with noise multiplier σ/Δ, plus δ_projection from the sensitivity bound.
   // Convert at whatever δ headroom remains after the projection failures.
-  const NoiseCalibration cal = calibrate_noise(
-      options_.publisher.projection_dim, per,
-      options_.publisher.analytic_calibration, options_.publisher.delta_split);
   const double delta_proj_total =
-      cal.delta_projection * static_cast<double>(releases);
+      calibration_.delta_projection * static_cast<double>(releases);
   double rdp_eps = basic_eps;
   if (delta_proj_total < options_.total_budget.delta) {
     dp::RdpAccountant rdp;
-    const double multiplier = cal.sigma / cal.sensitivity;
+    const double multiplier = calibration_.sigma / calibration_.sensitivity;
     for (std::size_t i = 0; i < releases; ++i) rdp.record_gaussian(multiplier);
     rdp_eps =
         rdp.to_dp(options_.total_budget.delta - delta_proj_total).epsilon;
@@ -114,12 +106,9 @@ RandomProjectionPublisher::Options PublishingSession::begin_release() {
   // artifact went out: an over-count, which is the safe direction. The
   // reverse order could hand out an unaccounted release.
   const auto& per = options_.publisher.params;
-  const NoiseCalibration cal = calibrate_noise(
-      options_.publisher.projection_dim, per,
-      options_.publisher.analytic_calibration, options_.publisher.delta_split);
   if (ledger_ != nullptr) {
     ledger_->append({static_cast<std::uint64_t>(releases_ + 1), per.epsilon,
-                     per.delta, cal.sigma, cal.sensitivity});
+                     per.delta, calibration_.sigma, calibration_.sensitivity});
     char eps[32];
     char delta[32];
     std::snprintf(eps, sizeof(eps), "%g", per.epsilon);
@@ -130,9 +119,6 @@ RandomProjectionPublisher::Options PublishingSession::begin_release() {
                     {"delta", delta}});
   }
   ++releases_;
-  basic_.record(per);
-  rdp_.record_gaussian(cal.sigma / cal.sensitivity);
-  delta_projection_sum_ += cal.delta_projection;
 
   static obs::Counter& publishes = obs::counter(obs::names::kSessionPublishes);
   publishes.add();

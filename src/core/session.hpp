@@ -21,8 +21,6 @@
 
 #include "core/ledger.hpp"
 #include "core/publisher.hpp"
-#include "dp/accountant.hpp"
-#include "dp/rdp_accountant.hpp"
 
 namespace sgp::core {
 
@@ -84,9 +82,10 @@ class PublishingSession {
   [[nodiscard]] dp::PrivacyParams spent_after(std::size_t releases) const;
 
   Options options_;
-  dp::PrivacyAccountant basic_;
-  dp::RdpAccountant rdp_;
-  double delta_projection_sum_ = 0.0;
+  /// calibrate(options_.publisher), computed once: the σ/Δ every release
+  /// of this session publishes under, charges to the ledger and is
+  /// accounted at.
+  NoiseCalibration calibration_;
   std::size_t releases_ = 0;
   std::unique_ptr<BudgetLedger> ledger_;
 };

@@ -1,7 +1,6 @@
 #include "core/sharded_publish.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -9,7 +8,6 @@
 #include <vector>
 
 #include "core/serialization.hpp"
-#include "core/theory.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
@@ -28,18 +26,12 @@ namespace {
 
 constexpr char kCheckpointMagic[] = "sgp-shard-checkpoint v1";
 
-std::string with_crc(const std::string& body) {
-  char crc_hex[16];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", util::crc32(body));
-  return body + " crc " + crc_hex;
-}
-
 std::string shard_line(std::size_t shard, std::size_t row_begin,
                        std::size_t row_end, std::uint64_t bytes) {
   std::ostringstream out;
   out << "shard " << shard << " rows " << row_begin << " " << row_end
       << " bytes " << bytes;
-  return with_crc(out.str());
+  return util::crc_frame(out.str());
 }
 
 /// Number of shards proven complete by `ckpt_path`, given the expected
@@ -86,7 +78,7 @@ std::string shard_config_line(const ShardedPublishOptions& options,
       << to_string(projection_rng_for(
              options.publish.projection,
              random::resolve_normal_kernel(options.publish.kernel)));
-  return with_crc(out.str());
+  return util::crc_frame(out.str());
 }
 
 ShardPlan plan_shards(std::size_t num_rows, std::size_t shard_rows) {
@@ -116,9 +108,7 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
   options.publish.params.validate();
 
   const ShardPlan plan = plan_shards(n, options.shard_rows);
-  const NoiseCalibration calibration = calibrate_noise(
-      m, options.publish.params, options.publish.analytic_calibration,
-      options.publish.delta_split);
+  const NoiseCalibration calibration = calibrate(options.publish);
 
   obs::ScopedTimer timer(obs::names::kPublishSharded);
   timer.attr("n", n).attr("m", m).attr("shards", plan.num_shards());
@@ -257,7 +247,6 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
   result.num_nodes = n;
   result.shards_total = plan.num_shards();
   result.shards_resumed = completed;
-  result.calibration = calibration;
   return result;
 }
 

@@ -33,7 +33,9 @@ double dense_row_sensitivity();
 /// Full calibration for the mechanism: splits δ into δ_p (sensitivity-bound
 /// failure) and δ_g (Gaussian mechanism), default half/half, and returns the
 /// noise σ. Set `analytic` false to use the classic calibration instead
-/// (ablation E2). Throws for invalid params.
+/// (ablation E2). Throws for invalid params. The publishers reach it only
+/// through core::calibrate (core/publisher.hpp); the benches call it
+/// directly for theory curves.
 struct NoiseCalibration {
   double sensitivity = 0.0;  ///< high-probability ‖P_j‖ bound used
   double sigma = 0.0;        ///< per-entry Gaussian noise stddev

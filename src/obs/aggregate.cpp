@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/crc32.hpp"
 #include "util/errors.hpp"
 #include "util/json.hpp"
 
@@ -235,7 +236,7 @@ ProcessLog read_sidecar(const std::string& path) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::string body;
-    if (!crc_unframe(line, body)) {
+    if (!util::crc_unframe(line, body)) {
       // Torn or bit-flipped tail: keep the truthful prefix, stop trusting
       // anything after it.
       log.torn_tail = true;

@@ -151,26 +151,13 @@ void write_pending_locked(LogState& s) {
 void stage_spans_and_metrics_locked(LogState& s) {
   const std::vector<SpanRecord> spans = collected_spans();
   for (std::size_t i = s.spans_flushed; i < spans.size(); ++i) {
-    s.pending += crc_frame(render_span(spans[i])) + '\n';
+    s.pending += util::crc_frame(render_span(spans[i])) + '\n';
   }
   s.spans_flushed = spans.size();
-  s.pending += crc_frame(render_metrics_snapshot()) + '\n';
+  s.pending += util::crc_frame(render_metrics_snapshot()) + '\n';
 }
 
 }  // namespace
-
-std::string crc_frame(const std::string& body) {
-  char hex[16];
-  std::snprintf(hex, sizeof(hex), "%08x", util::crc32(body));
-  return body + " crc " + hex;
-}
-
-bool crc_unframe(const std::string& line, std::string& body) {
-  const std::size_t pos = line.rfind(" crc ");
-  if (pos == std::string::npos) return false;
-  body = line.substr(0, pos);
-  return crc_frame(body) == line;
-}
 
 void log_event(std::string_view name,
                std::vector<std::pair<std::string, std::string>> fields,
@@ -186,7 +173,7 @@ void log_event(std::string_view name,
   LogState& s = state();
   const std::lock_guard<std::mutex> lock(s.mutex);
   if (s.sidecar.is_open()) {
-    s.pending += crc_frame(render_event(record)) + '\n';
+    s.pending += util::crc_frame(render_event(record)) + '\n';
     if (durable) write_pending_locked(s);
   }
   s.events.push_back(std::move(record));
@@ -204,11 +191,11 @@ void open_sidecar(const std::string& path, const SidecarInfo& info) {
   s.info = info;
   s.path = path;
   s.spans_flushed = 0;
-  s.pending = crc_frame(render_process_header(info)) + '\n';
+  s.pending = util::crc_frame(render_process_header(info)) + '\n';
   // Events logged before the path was known (e.g. the ledger charge) are
   // part of this process's record; replay them behind the header.
   for (const EventRecord& e : s.events) {
-    s.pending += crc_frame(render_event(e)) + '\n';
+    s.pending += util::crc_frame(render_event(e)) + '\n';
   }
   write_pending_locked(s);
 }

@@ -11,8 +11,9 @@
 // "sgp-obs-report v2" document at assembly time (obs/aggregate.hpp).
 //
 // Record framing reuses the checkpoint/lease idiom: each line is
-// `<json> crc <8-hex-crc32>`; a torn or bit-flipped trailing line is
-// detected and dropped by the reader, never trusted. Record types:
+// `<json> crc <8-hex-crc32>` (util::crc_frame, util/crc32.hpp); a torn or
+// bit-flipped trailing line is detected and dropped by the reader, never
+// trusted. Record types:
 //
 //   {"type":"process", "pid":…, "role":"coordinator"|"worker",
 //    "trace_id":…, "parent_span":…, "worker":…, "gen":…, "epoch_unix":…}
@@ -41,6 +42,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "util/crc32.hpp"  // the record framing (crc_frame / crc_unframe)
 
 namespace sgp::obs {
 
@@ -98,11 +101,5 @@ void clear_event_log();
 
 /// This process's pid as the sidecar reports it (0 where unavailable).
 [[nodiscard]] std::uint64_t sidecar_pid();
-
-/// CRC framing shared with the sidecar reader (obs/aggregate.hpp):
-/// `frame` -> `<body> crc <8-hex-crc32>`; `unframe` validates a line and
-/// strips the trailer into `body`, returning false for torn/corrupt lines.
-[[nodiscard]] std::string crc_frame(const std::string& body);
-[[nodiscard]] bool crc_unframe(const std::string& line, std::string& body);
 
 }  // namespace sgp::obs

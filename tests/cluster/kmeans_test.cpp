@@ -43,22 +43,33 @@ TEST(KMeansTest, RecoversSeparatedBlobs) {
 }
 
 TEST(KMeansTest, InertiaIsSumOfSquaredDistances) {
-  KMeansOptions opt;
-  opt.k = 3;
-  opt.seed = 2;
-  const auto pts = blobs(2);
-  const auto res = kmeans(pts, opt);
-  double manual = 0.0;
-  for (std::size_t i = 0; i < pts.rows(); ++i) {
-    const auto c = res.centroids.row(res.assignments[i]);
-    double d2 = 0;
-    for (std::size_t j = 0; j < 2; ++j) {
-      const double d = pts(i, j) - c[j];
-      d2 += d * d;
+  // k = 6 also runs the assignment scan's four-centroid blocks, k = 3 only
+  // its one-at-a-time tail.
+  for (const std::size_t k : {3, 6}) {
+    KMeansOptions opt;
+    opt.k = k;
+    opt.seed = 2;
+    const auto pts = blobs(2);
+    const auto res = kmeans(pts, opt);
+    const auto dist2 = [&](std::size_t i, std::size_t c) {
+      double d2 = 0;
+      for (std::size_t j = 0; j < 2; ++j) {
+        const double d = pts(i, j) - res.centroids(c, j);
+        d2 += d * d;
+      }
+      return d2;
+    };
+    double manual = 0.0;
+    for (std::size_t i = 0; i < pts.rows(); ++i) {
+      const double assigned = dist2(i, res.assignments[i]);
+      manual += assigned;
+      // Converged: every point sits with its nearest centroid.
+      for (std::size_t c = 0; c < k; ++c) {
+        EXPECT_LE(assigned, dist2(i, c) + 1e-12) << "k=" << k << " i=" << i;
+      }
     }
-    manual += d2;
+    EXPECT_NEAR(res.inertia, manual, 1e-9 * (1.0 + manual)) << "k=" << k;
   }
-  EXPECT_NEAR(res.inertia, manual, 1e-9 * (1.0 + manual));
 }
 
 TEST(KMeansTest, KEqualsOneCentroidIsMean) {

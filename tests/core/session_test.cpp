@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "util/errors.hpp"
@@ -123,16 +124,26 @@ TEST(SessionTest, LedgerBackedSessionRecoversSpentBudget) {
   std::remove(path.c_str());
   const auto g = small_graph();
   double spent = 0.0;
+  std::vector<PublishedGraph> releases;
   {
     PublishingSession session(session_options(0.5, 10.0), path);
     ASSERT_TRUE(session.has_ledger());
-    (void)session.publish(g);
-    (void)session.publish(g);
+    releases.push_back(session.publish(g));
+    releases.push_back(session.publish(g));
     spent = session.spent().epsilon;
   }
   PublishingSession recovered(session_options(0.5, 10.0), path);
   EXPECT_EQ(recovered.num_releases(), 2u);
   EXPECT_DOUBLE_EQ(recovered.spent().epsilon, spent);
+  // The charged record is the header's record: each ledger line carries
+  // exactly the σ/Δ of the release it paid for.
+  const auto& records = recovered.ledger()->records();
+  ASSERT_EQ(records.size(), releases.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].sigma, releases[i].calibration.sigma) << i;
+    EXPECT_EQ(records[i].sensitivity, releases[i].calibration.sensitivity)
+        << i;
+  }
   std::remove(path.c_str());
 }
 

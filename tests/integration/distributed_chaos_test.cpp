@@ -13,6 +13,7 @@
 //      a correct single-process publish.
 // The suite runs in the default ctest pass and under `ctest -L chaos`.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -179,6 +180,45 @@ TEST_F(DistributedChaosTest, UnspawnableWorkersDegradeToInProcess) {
   EXPECT_EQ(result.shards_inprocess, result.shards_total);
   EXPECT_EQ(file_bytes(out_path_), file_bytes(kReleasePath))
       << "in-process fallback must still produce the exact release";
+  expect_no_side_files();
+}
+
+// A non-default calibration must reach the workers through their flags
+// (--no-analytic, --delta-split). A worker that derived a different σ would
+// refuse on the config CRC and the in-process fallback would still write the
+// right bytes, so the counters are what pin the forwarding: no worker lost,
+// no shard computed by the coordinator.
+TEST_F(DistributedChaosTest, NonDefaultCalibrationReachesWorkers) {
+  graph::EdgeListShardReader reader(kEdgesPath, graph::IdPolicy::kPreserve);
+  auto opt = options(/*workers=*/2);
+  opt.sharded.publish.analytic_calibration = false;
+  opt.sharded.publish.delta_split = 0.3;
+  const auto result = publish_distributed(reader, opt, out_path_);
+  EXPECT_EQ(result.workers_spawned, 2u);
+  EXPECT_EQ(result.workers_lost, 0u);
+  EXPECT_EQ(result.shards_inprocess, 0u);
+
+  const graph::Graph g =
+      graph::read_edge_list_file(kEdgesPath, graph::IdPolicy::kPreserve);
+  std::ostringstream ref(std::ios::binary);
+  test::reference_publish(g, opt.sharded.publish, ref);
+  EXPECT_EQ(file_bytes(out_path_), ref.str());
+  EXPECT_NE(ref.str(), file_bytes(kReleasePath))
+      << "the non-default calibration must change the release";
+  expect_no_side_files();
+}
+
+// The worker's drift guard: handed a config CRC its own derivation does not
+// reproduce, a worker refuses with the data exit code (3) before it computes
+// or writes any payload.
+TEST_F(DistributedChaosTest, WorkerRefusesConfigDrift) {
+  std::ostringstream cmd;
+  cmd << kPublishBin << " --worker --edges " << kEdgesPath << " --out "
+      << out_path_ << " --dim 8 --seed 4321 --preserve-ids --shard-rows 4"
+      << " --shards 0,1,2 --config-crc 00000000 2>/dev/null";
+  const int status = std::system(cmd.str().c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 3) << "config drift must exit kExitData";
   expect_no_side_files();
 }
 

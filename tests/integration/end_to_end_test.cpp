@@ -13,6 +13,7 @@
 #include "core/session.hpp"
 #include "core/stats_publisher.hpp"
 #include "core/surrogate.hpp"
+#include "dp/accountant.hpp"
 #include "graph/datasets.hpp"
 #include "graph/io.hpp"
 #include "graph/metrics.hpp"

@@ -51,22 +51,22 @@ class EventLogTest : public ::testing::Test {
 
 TEST_F(EventLogTest, CrcFrameRoundTrips) {
   const std::string body = "{\"type\":\"event\",\"name\":\"x\"}";
-  const std::string line = sgp::obs::crc_frame(body);
+  const std::string line = sgp::util::crc_frame(body);
   std::string out;
-  ASSERT_TRUE(sgp::obs::crc_unframe(line, out));
+  ASSERT_TRUE(sgp::util::crc_unframe(line, out));
   EXPECT_EQ(out, body);
 }
 
 TEST_F(EventLogTest, CrcUnframeRejectsCorruption) {
-  std::string line = sgp::obs::crc_frame("{\"a\":1}");
+  std::string line = sgp::util::crc_frame("{\"a\":1}");
   std::string out;
   // Flip one body byte: the trailer no longer matches.
   line[2] = line[2] == 'a' ? 'b' : 'a';
-  EXPECT_FALSE(sgp::obs::crc_unframe(line, out));
+  EXPECT_FALSE(sgp::util::crc_unframe(line, out));
   // Truncated trailer (a torn write) is rejected, not trusted.
-  const std::string full = sgp::obs::crc_frame("{\"a\":1}");
-  EXPECT_FALSE(sgp::obs::crc_unframe(full.substr(0, full.size() - 3), out));
-  EXPECT_FALSE(sgp::obs::crc_unframe("no trailer here", out));
+  const std::string full = sgp::util::crc_frame("{\"a\":1}");
+  EXPECT_FALSE(sgp::util::crc_unframe(full.substr(0, full.size() - 3), out));
+  EXPECT_FALSE(sgp::util::crc_unframe("no trailer here", out));
 }
 
 TEST_F(EventLogTest, EventsBeforeOpenAreReplayedBehindHeader) {
@@ -162,7 +162,7 @@ TEST_F(EventLogTest, ReadSidecarRejectsMissingFileAndMissingHeader) {
   EXPECT_THROW(sgp::obs::read_sidecar(path_ + ".nope"), sgp::util::IoError);
   {
     std::ofstream out(path_, std::ios::binary);
-    out << sgp::obs::crc_frame(
+    out << sgp::util::crc_frame(
                "{\"type\":\"event\",\"t\":0.5,\"name\":\"orphan\"}")
         << "\n";
   }

@@ -118,6 +118,14 @@ TEST(ScenarioGrid, EveryCellChargesOnceValidatesAndReproduces) {
     EXPECT_EQ(release.kind, cell.mechanism);
     EXPECT_EQ(release.num_nodes, kScenarioNodes);
 
+    // The charged record is the header's record: a projection release
+    // carries exactly the σ/Δ its ledger line paid for.
+    if (cell.mechanism == MechanismKind::kProjection) {
+      ASSERT_TRUE(release.matrix.has_value());
+      EXPECT_EQ(record.sigma, release.matrix->calibration.sigma);
+      EXPECT_EQ(record.sensitivity, release.matrix->calibration.sensitivity);
+    }
+
     // Task scores live in [0, 1], bounded by a sane reference.
     const double score = run_task(release, cell.task, planted, cell.seed);
     EXPECT_GE(score, 0.0);

@@ -125,6 +125,12 @@ int main(int argc, char** argv) {
         args.get_string("budget-epsilon", "").empty()) {
       throw sgp::util::PreconditionError("--ledger requires --budget-epsilon");
     }
+    sgp::core::PublishingSession::Options sopt;
+    sopt.publisher = opt;
+    if (!ledger_path.empty()) {
+      sopt.total_budget = {args.get_double("budget-epsilon", 10.0),
+                           args.get_double("budget-delta", 1e-5)};
+    }
 
     const auto shard_rows_flag =
         static_cast<std::size_t>(args.get_int("shard-rows", 0));
@@ -178,10 +184,6 @@ int main(int argc, char** argv) {
           std::filesystem::exists(out_path + ".lease");
       std::optional<sgp::core::PublishingSession> session;
       if (!ledger_path.empty()) {
-        sgp::core::PublishingSession::Options sopt;
-        sopt.publisher = opt;
-        sopt.total_budget = {args.get_double("budget-epsilon", 10.0),
-                             args.get_double("budget-delta", 1e-5)};
         session.emplace(sopt, ledger_path);
         const bool finish_last =
             shard_opt.resume && session->num_releases() > 0 && unfinished;
@@ -258,10 +260,6 @@ int main(int argc, char** argv) {
 
     sgp::obs::ScopedTimer publish_timer(sgp::obs::names::kToolPublish);
     if (!ledger_path.empty()) {
-      sgp::core::PublishingSession::Options sopt;
-      sopt.publisher = opt;
-      sopt.total_budget = {args.get_double("budget-epsilon", 10.0),
-                           args.get_double("budget-delta", 1e-5)};
       sgp::core::PublishingSession session(sopt, ledger_path);
       std::fprintf(stderr, "ledger %s: %zu prior releases, spent %s\n",
                    ledger_path.c_str(), session.num_releases(),
