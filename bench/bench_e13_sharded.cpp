@@ -160,8 +160,6 @@ int main(int argc, char** argv) {
     dopt.sharded.threads = 2;
     dopt.workers = processes;
     if (processes > 1) dopt.worker_program = SGP_PUBLISH_BIN;
-    dopt.edges_path = edges_path;
-    dopt.id_policy = sgp::graph::IdPolicy::kPreserve;
     sgp::obs::ScopedTimer timer("bench.process_scaling");
     timer.attr("processes", processes);
     const auto result = sgp::core::publish_distributed(reader, dopt, out_path);

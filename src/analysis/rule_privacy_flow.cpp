@@ -21,6 +21,12 @@
 //       budget split. Mechanism implementations must split budgets through
 //       dp::split_budget / dp::laplace_scale so composition stays auditable
 //       in one layer.
+//
+//   (d) One calibration site: calibrate_noise is called only from
+//       src/core/publisher.cpp, whose core::calibrate turns the options
+//       into the one σ/Δ record every publish mode, worker, session and
+//       mechanism carries. A second caller is a second derivation that can
+//       drift from the σ in the header or the ledger.
 #include <string_view>
 
 #include "analysis/rule_support.hpp"
@@ -144,6 +150,27 @@ void check_privacy_initializers(const SourceFile& file,
   }
 }
 
+void check_calibration_site(const SourceFile& file, const FileIndex& index,
+                            std::vector<Finding>& out) {
+  if (file.path == "src/core/publisher.cpp") return;
+  const std::vector<Token>& t = index.tokens;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].kind != TokKind::kIdentifier || t[i].text != "calibrate_noise" ||
+        !punct(t, i + 1, "(")) {
+      continue;
+    }
+    // File scope: the declaration or the definition, not a call.
+    if (enclosing_function(index, i) == nullptr) continue;
+    out.push_back({"R8", file.path, t[i].line, "calibrate_noise",
+                   "privacy-flow: calibrate_noise() called outside "
+                   "core::calibrate (src/core/publisher.cpp) — a second "
+                   "σ/Δ derivation can drift from the release header and "
+                   "the budget ledger",
+                   "call core::calibrate(options) once and pass its "
+                   "NoiseCalibration record down"});
+  }
+}
+
 }  // namespace
 
 void rule_privacy_flow(const SourceFile& file, const FileIndex& index,
@@ -155,6 +182,7 @@ void rule_privacy_flow(const SourceFile& file, const FileIndex& index,
   }
   check_encoder_callers(file, index, out);
   check_privacy_initializers(file, index, out);
+  check_calibration_site(file, index, out);
 }
 
 }  // namespace sgp::analysis

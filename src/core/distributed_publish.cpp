@@ -14,9 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "core/projection.hpp"
 #include "core/serialization.hpp"
-#include "dp/defaults.hpp"
 #include "dp/privacy.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metric_names.hpp"
@@ -24,7 +22,6 @@
 #include "obs/resource_sampler.hpp"
 #include "obs/scoped_timer.hpp"
 #include "obs/trace.hpp"
-#include "random/kernel_variant.hpp"
 #include "random/rng.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
@@ -163,13 +160,6 @@ std::map<std::size_t, std::uint32_t> resumable_shards(
   return done;
 }
 
-std::string format_double(double v) {
-  std::ostringstream out;
-  out.precision(17);
-  out << v;
-  return out.str();
-}
-
 /// Release-level trace id: wall-clock nanos mixed with the pid through the
 /// splitmix64 finalizer. Uniqueness across concurrent coordinators is what
 /// matters; this is an identifier, not randomness for the mechanism.
@@ -195,21 +185,13 @@ std::string sidecar_path_for_pid(const std::string& prefix) {
 DistributedPublishResult publish_distributed(
     const graph::EdgeListShardReader& reader,
     const DistributedPublishOptions& options, const std::string& out_path) {
-  const std::size_t n = reader.num_nodes();
-  const std::size_t m = options.sharded.publish.projection_dim;
-  util::require(n >= 1, "publish_distributed: graph must have nodes");
-  util::require(m >= 1 && m <= n,
-                "publish_distributed: projection_dim must be in [1, n]");
   util::require(options.lease_timeout_seconds > 0.0,
                 "publish_distributed: lease timeout must be positive");
-  options.sharded.publish.params.validate();
+  const ShardRelease release = prepare_shard_job(reader, options.sharded);
+  const ShardJob& job = release.job;
+  const ShardPlan& plan = job.plan;
+  const std::size_t m = job.publish.projection_dim;
   const std::size_t workers = std::max<std::size_t>(1, options.workers);
-
-  const ShardPlan plan = plan_shards(n, options.sharded.shard_rows);
-  const NoiseCalibration calibration = calibrate(options.sharded.publish);
-  const std::string config =
-      shard_config_line(options.sharded, n, m, calibration, plan);
-  const std::string config_crc = util::crc32_hex(util::crc32(config));
 
   // The observability plane: mint the release trace id and open the
   // coordinator's sidecar before any span or lifecycle event fires. The
@@ -228,37 +210,22 @@ DistributedPublishResult publish_distributed(
   }
 
   obs::ScopedTimer timer(obs::names::kPublishDistributed);
-  timer.attr("n", n).attr("m", m).attr("shards", plan.num_shards())
-      .attr("workers", workers);
+  timer.attr("n", job.num_nodes()).attr("m", m)
+      .attr("shards", plan.num_shards()).attr("workers", workers);
   // The span every worker forest re-attaches under at merge time.
   const std::uint64_t parent_span = obs::current_span_id();
   obs::gauge(obs::names::kPublishWorkers).set(static_cast<double>(workers));
-  obs::gauge(obs::names::kPublishShardRows)
-      .set(static_cast<double>(plan.shard_rows));
-  obs::gauge(obs::names::kPublishSigma).set(calibration.sigma);
-  obs::gauge(obs::names::kGraphNodes).set(static_cast<double>(n));
-
-  std::ostringstream header;
-  // The tag must name the normal mapping the shard tiles are generated
-  // with — the same resolution the workers receive via --kernel.
-  write_published_header(header, n, m, options.sharded.publish.params,
-                         calibration, options.sharded.publish.projection,
-                         projection_rng_for(
-                             options.sharded.publish.projection,
-                             random::resolve_normal_kernel(
-                                 options.sharded.publish.kernel)));
-  const std::string header_bytes = header.str();
 
   const std::string lease_path = out_path + ".lease";
   std::map<std::size_t, std::uint32_t> resumed;
   if (options.sharded.resume) {
-    resumed = resumable_shards(lease_path, config, plan, m, out_path);
+    resumed = resumable_shards(lease_path, release.config, plan, m, out_path);
   }
   std::set<std::size_t> completed;
   for (const auto& [s, crc] : resumed) completed.insert(s);
 
   DistributedPublishResult result;
-  result.num_nodes = n;
+  result.num_nodes = job.num_nodes();
   result.shards_total = plan.num_shards();
   result.shards_resumed = completed.size();
   result.trace_id = trace_id;
@@ -276,7 +243,8 @@ DistributedPublishResult publish_distributed(
   util::DurableAppender lease;
   lease.open(lease_path, /*truncate=*/true);
   {
-    std::string prefix = std::string(kLeaseMagic) + '\n' + config + '\n';
+    std::string prefix =
+        std::string(kLeaseMagic) + '\n' + release.config + '\n';
     for (const auto& [s, crc] : resumed) {
       prefix += complete_record(s, payload_bytes_for(plan, s, m), crc) + '\n';
     }
@@ -321,56 +289,24 @@ DistributedPublishResult publish_distributed(
 
   auto try_spawn = [&](Slot& slot) -> bool {
     util::Subprocess::Options sp;
-    sp.argv = {options.worker_program,
-               "--worker",
-               "--edges",
-               options.edges_path,
-               "--out",
-               out_path,
-               "--worker-id",
-               std::to_string(slot.id),
-               "--gen",
-               std::to_string(slot.gen),
-               "--config-crc",
-               config_crc,
-               "--dim",
-               std::to_string(m),
-               "--epsilon",
-               format_double(options.sharded.publish.params.epsilon),
-               "--delta",
-               format_double(options.sharded.publish.params.delta),
-               "--delta-split",
-               format_double(options.sharded.publish.delta_split),
-               "--seed",
-               std::to_string(options.sharded.publish.seed),
-               "--projection",
-               to_string(options.sharded.publish.projection),
-               // The coordinator resolves the kernel once and hands workers
-               // the resolved name, so a worker can never re-resolve kAuto
-               // differently (its environment is not trusted to match).
-               "--kernel",
-               std::string(random::to_string(
-                   random::resolve_normal_kernel(
-                       options.sharded.publish.kernel))),
-               "--shard-rows",
-               std::to_string(plan.shard_rows),
-               "--threads",
-               std::to_string(options.sharded.threads),
-               "--io-attempts",
-               std::to_string(options.sharded.io_retry.max_attempts)};
     std::string csv;
     for (std::size_t s : slot.pending) {
       if (!csv.empty()) csv += ',';
       csv += std::to_string(s);
     }
-    sp.argv.push_back("--shards");
-    sp.argv.push_back(csv);
-    if (!options.sharded.publish.analytic_calibration) {
-      sp.argv.push_back("--no-analytic");
-    }
-    if (options.id_policy == graph::IdPolicy::kPreserve) {
-      sp.argv.push_back("--preserve-ids");
-    }
+    // The job record is everything a worker publishes from: it scans the
+    // file the coordinator's reader scanned, under the recorded id policy,
+    // and never calibrates.
+    sp.argv = {options.worker_program, "--worker",
+               "--edges", reader.path(),
+               "--out", out_path,
+               "--worker-id", std::to_string(slot.id),
+               "--gen", std::to_string(slot.gen),
+               "--config", release.config,
+               "--threads", std::to_string(options.sharded.threads),
+               "--io-attempts",
+               std::to_string(options.sharded.io_retry.max_attempts),
+               "--shards", csv};
     if (slot.gen == 0) {
       const auto it = options.worker_env.find(slot.id);
       if (it != options.worker_env.end()) sp.env = it->second;
@@ -528,16 +464,9 @@ DistributedPublishResult publish_distributed(
     std::vector<double> tile;
     std::sort(inprocess.begin(), inprocess.end());
     for (std::size_t s : inprocess) {
-      const auto [r0, r1] = plan.shard_range(s);
-      obs::ScopedTimer shard_timer(obs::names::kPublishShard);
-      shard_timer.attr("shard", s).attr("rows", r1 - r0);
-      const graph::ShardBlock shard = util::retry_with_backoff(
-          options.sharded.io_retry, "shard load",
-          [&] { return reader.load_shard(r0, r1); });
-      publish_rows(shard.block(), r0, r1, options.sharded.publish,
-                   calibration, tile, pool);
+      compute_shard(reader, job, s, options.sharded.io_retry, tile, pool);
       const std::string path = shard_payload_path(out_path, s);
-      write_payload_file(path, options.sharded.publish.params, tile);
+      write_payload_file(path, job.publish.params, tile);
       const auto crc = verify_payload(path, payload_bytes_for(plan, s, m));
       SGP_CHECK(crc.has_value(),
                 "publish_distributed: in-process payload failed verification");
@@ -555,8 +484,8 @@ DistributedPublishResult publish_distributed(
   if (!out.good()) {
     throw util::IoError("publish_distributed: cannot open " + out_path);
   }
-  out.write(header_bytes.data(),
-            static_cast<std::streamsize>(header_bytes.size()));
+  out.write(release.header.data(),
+            static_cast<std::streamsize>(release.header.size()));
   for (std::size_t s = 0; s < plan.num_shards(); ++s) {
     util::fault_point(util::fault_points::kIoShardWrite);
     std::ifstream payload(shard_payload_path(out_path, s), std::ios::binary);
@@ -596,45 +525,22 @@ int run_publish_worker(const util::CliArgs& args) {
   util::require(!edges_path.empty() && !out_path.empty(),
                 "worker: --edges and --out are required");
 
-  ShardedPublishOptions opt;
-  opt.publish.projection_dim =
-      static_cast<std::size_t>(args.get_int("dim", 100));
-  opt.publish.params = {args.get_double("epsilon", 1.0),
-                        args.get_double("delta", 1e-6)};
-  opt.publish.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  if (args.get_string("projection", "gaussian") == "achlioptas") {
-    opt.publish.projection = ProjectionKind::kAchlioptas;
+  // Drift guard: the coordinator's job record is the only source of the
+  // release's values. A record that fails its CRC, or a file that no
+  // longer scans to the recorded node and edge counts, would publish
+  // different bytes, so the worker refuses before computing any payload.
+  const ShardJob job = ShardJob::parse(args.get_string("config", ""));
+  const graph::EdgeListShardReader reader(edges_path, job.id_policy);
+  if (reader.num_nodes() != job.num_nodes() ||
+      reader.edge_records() != job.edge_records) {
+    throw util::ParseError("worker: config drift (" + edges_path +
+                           " does not scan to the record's node and edge "
+                           "counts)");
   }
-  opt.publish.kernel =
-      random::parse_kernel_variant(args.get_string("kernel", "auto"));
-  opt.publish.analytic_calibration = !args.get_bool("no-analytic", false);
-  opt.publish.delta_split =
-      args.get_double("delta-split", dp::kDefaultDeltaSplit);
-  opt.shard_rows = static_cast<std::size_t>(args.get_int("shard-rows", 0));
-  opt.threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  opt.io_retry.max_attempts =
-      static_cast<std::size_t>(args.get_int("io-attempts", 1));
-
-  const auto policy = args.get_bool("preserve-ids", false)
-                          ? graph::IdPolicy::kPreserve
-                          : graph::IdPolicy::kCompact;
-  const graph::EdgeListShardReader reader(edges_path, policy);
-  const std::size_t n = reader.num_nodes();
-  const std::size_t m = opt.publish.projection_dim;
-  const ShardPlan plan = plan_shards(n, opt.shard_rows);
-  const NoiseCalibration calibration = calibrate(opt.publish);
-
-  // Drift guard: the coordinator hands over the CRC of its config record;
-  // a worker whose own derivation disagrees would publish different bytes,
-  // so it must refuse rather than contribute a payload.
-  const std::string config = shard_config_line(opt, n, m, calibration, plan);
-  const std::string derived_crc = util::crc32_hex(util::crc32(config));
-  const std::string expected_crc = args.get_string("config-crc", "");
-  if (expected_crc != derived_crc) {
-    throw util::ParseError("worker: config drift (coordinator crc '" +
-                           expected_crc + "', worker crc '" + derived_crc +
-                           "')");
-  }
+  const std::size_t threads =
+      static_cast<std::size_t>(args.get_int("threads", 0));
+  const util::RetryPolicy io_retry{
+      .max_attempts = static_cast<std::size_t>(args.get_int("io-attempts", 1))};
 
   const std::size_t worker_id =
       static_cast<std::size_t>(args.get_int("worker-id", 0));
@@ -671,7 +577,7 @@ int run_publish_worker(const util::CliArgs& args) {
     while (std::getline(csv, tok, ',')) {
       if (tok.empty()) continue;
       const std::size_t s = std::stoull(tok);
-      util::require(s < plan.num_shards(),
+      util::require(s < job.plan.num_shards(),
                     "worker: assigned shard index out of range");
       shards.push_back(s);
     }
@@ -688,7 +594,7 @@ int run_publish_worker(const util::CliArgs& args) {
   }
 
   std::optional<util::ThreadPool> local_pool;
-  if (opt.threads > 0) local_pool.emplace(opt.threads);
+  if (threads > 0) local_pool.emplace(threads);
   util::ThreadPool& pool = local_pool ? *local_pool : util::global_pool();
 
   std::vector<double> tile;
@@ -704,20 +610,10 @@ int run_publish_worker(const util::CliArgs& args) {
                    {{"shard", std::to_string(s)},
                     {"worker", std::to_string(worker_id)}});
 
-    {
-      obs::ScopedTimer shard_timer(obs::names::kPublishShard);
-      const auto [r0, r1] = plan.shard_range(s);
-      shard_timer.attr("shard", s).attr("rows", r1 - r0);
-      const graph::ShardBlock shard = util::retry_with_backoff(
-          opt.io_retry, "shard load",
-          [&] { return reader.load_shard(r0, r1); });
-      publish_rows(shard.block(), r0, r1, opt.publish, calibration, tile,
-                   pool);
-
-      util::fault_point(util::fault_points::kIoShardWrite);
-      write_payload_file(shard_payload_path(out_path, s),
-                         opt.publish.params, tile);
-    }
+    compute_shard(reader, job, s, io_retry, tile, pool);
+    util::fault_point(util::fault_points::kIoShardWrite);
+    write_payload_file(shard_payload_path(out_path, s), job.publish.params,
+                       tile);
     // The payload just committed (rename). Flush the truthful record of it
     // — span, counters, done event — BEFORE the second fault site, so a
     // worker killed post-commit leaves a sidecar whose contents match

@@ -4,10 +4,12 @@
 // The mechanism's row-separability (core/sharded_publish.hpp) already makes
 // shards independent; this layer exploits that across *processes*. The
 // coordinator round-robins the shard plan over N spawned workers
-// (util/subprocess.hpp), each of which recomputes the calibration from the
-// same flags, verifies it against the coordinator's config CRC, and writes
-// its shards' payload tiles to side files (`<out>.shard.<s>`, written to a
-// temp name and renamed so existence ⇒ completeness). The coordinator
+// (util/subprocess.hpp). Each worker gets the coordinator's ShardJob record
+// (`--config`) and publishes from it alone — it never calibrates — after
+// checking the record's CRC and that its own scan of the file matches the
+// recorded node and edge counts. It writes its shards' payload tiles to
+// side files (`<out>.shard.<s>`, written to a temp name and renamed so
+// existence ⇒ completeness). The coordinator
 // verifies every payload (size and CRC-32) before vouching for it, then
 // concatenates header + payloads in shard order — byte-identical to
 // publish_sharded and the in-memory publish for the same options, whatever
@@ -30,8 +32,8 @@
 //     produces the exact release bytes.
 //
 // Durability: the lease file (`<out>.lease`) reuses the checkpoint idiom —
-// magic line, the shard_config_line tying it to one exact publication, then
-// CRC-guarded `lease` / `reclaim` / `complete` records appended through
+// magic line, the ShardJob config record tying it to one exact publication,
+// then CRC-guarded `lease` / `reclaim` / `complete` records appended through
 // util::DurableAppender (fsync per record). On resume, `complete` records
 // whose payload files still verify are trusted and those shards are skipped
 // (publish.shards_resumed). The lease file and payload files are deleted
@@ -46,7 +48,6 @@
 #include <vector>
 
 #include "core/sharded_publish.hpp"
-#include "graph/io.hpp"
 #include "util/cli.hpp"
 #include "util/retry.hpp"
 
@@ -60,11 +61,8 @@ struct DistributedPublishOptions {
   std::size_t workers = 2;
   /// Path of the worker binary (normally the running sgp_publish itself).
   /// Empty = skip spawning entirely and compute every shard in-process.
+  /// Workers scan the reader's path() under its policy().
   std::string worker_program;
-  /// Edge-list path handed to workers; must name the same file the
-  /// coordinator's reader scanned.
-  std::string edges_path;
-  graph::IdPolicy id_policy = graph::IdPolicy::kCompact;
   /// A worker whose heartbeat file stops growing for this long is presumed
   /// dead and hard-killed. Must exceed worst-case single-shard compute time.
   double lease_timeout_seconds = 30.0;
@@ -117,11 +115,12 @@ DistributedPublishResult publish_distributed(
     const graph::EdgeListShardReader& reader,
     const DistributedPublishOptions& options, const std::string& out_path);
 
-/// Entry point for the hidden `--worker` mode of sgp_publish: recomputes
-/// options from flags, validates --config-crc against its own derivation
-/// (exits via ParseError on drift), computes the assigned --shards list and
-/// writes each payload + heartbeat records. Returns the process exit code
-/// (0 on success); IO failures throw and take the tool's usual error paths.
+/// Entry point for the hidden `--worker` mode of sgp_publish: publishes the
+/// assigned `--shards` of the `--config` ShardJob record (util::ParseError,
+/// exit 3, before any payload if the record fails its CRC or `--edges` does
+/// not scan to its node and edge counts), writing each payload + heartbeat
+/// records. Returns the process exit code (0 on success); IO failures
+/// throw and take the tool's usual error paths.
 int run_publish_worker(const util::CliArgs& args);
 
 }  // namespace sgp::core

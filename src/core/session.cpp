@@ -17,7 +17,7 @@
 namespace sgp::core {
 namespace {
 
-/// Recorded and configured per-release budgets must agree bit-for-bit up to
+/// Recorded and configured per-release values must agree bit-for-bit up to
 /// the text round trip (the ledger prints max_digits10, so exact equality
 /// is expected; the epsilon tolerance only forgives the last ulp).
 bool close(double a, double b) {
@@ -41,13 +41,18 @@ PublishingSession::PublishingSession(Options options,
     : PublishingSession(std::move(options)) {
   ledger_ = std::make_unique<BudgetLedger>(ledger_path);
   const auto& per = options_.publisher.params;
+  // Every recovered release is accounted at this session's (ε, δ) and σ/Δ,
+  // so a record charged under any other calibration cannot be recovered.
   for (const BudgetLedger::Record& r : ledger_->records()) {
-    if (!close(r.epsilon, per.epsilon) || !close(r.delta, per.delta)) {
+    if (!close(r.epsilon, per.epsilon) || !close(r.delta, per.delta) ||
+        !close(r.sigma, calibration_.sigma) ||
+        !close(r.sensitivity, calibration_.sensitivity)) {
       throw util::LedgerCorruptError(
           "budget ledger " + ledger_->path() + ": record " +
           std::to_string(r.index) +
-          " was written under different per-release parameters than this "
-          "session is configured with — refusing to recover");
+          " was written under different per-release parameters or "
+          "calibration than this session is configured with — refusing to "
+          "recover");
     }
   }
   releases_ = ledger_->size();

@@ -26,59 +26,105 @@ namespace {
 
 constexpr char kCheckpointMagic[] = "sgp-shard-checkpoint v1";
 
-std::string shard_line(std::size_t shard, std::size_t row_begin,
-                       std::size_t row_end, std::uint64_t bytes) {
-  std::ostringstream out;
-  out << "shard " << shard << " rows " << row_begin << " " << row_end
-      << " bytes " << bytes;
-  return util::crc_frame(out.str());
-}
-
-/// Number of shards proven complete by `ckpt_path`, given the expected
-/// line-for-line content of a checkpoint for this exact run. Every record is
-/// deterministic, so validation is exact string comparison — a torn tail,
-/// a bit flip (CRC mismatch) or a config drift all compare unequal and stop
-/// the scan at the last trustworthy shard. Returns 0 when nothing usable.
-std::size_t completed_shards_in(const std::string& ckpt_path,
-                                const std::string& config,
-                                const ShardPlan& plan,
-                                std::uint64_t header_bytes, std::size_t m) {
-  std::ifstream in(ckpt_path, std::ios::binary);
-  if (!in.good()) return 0;
-  std::string line;
-  if (!std::getline(in, line) || line != kCheckpointMagic) return 0;
-  if (!std::getline(in, line) || line != config) return 0;
-  std::size_t completed = 0;
-  while (completed < plan.num_shards() && std::getline(in, line)) {
-    const auto [r0, r1] = plan.shard_range(completed);
-    const std::uint64_t bytes =
-        header_bytes + static_cast<std::uint64_t>(r1) * m * sizeof(double);
-    if (line != shard_line(completed, r0, r1, bytes)) break;
-    ++completed;
-  }
-  return completed;
-}
-
 }  // namespace
 
-std::string shard_config_line(const ShardedPublishOptions& options,
-                              std::size_t num_nodes,
-                              std::size_t projection_dim,
-                              const NoiseCalibration& calibration,
-                              const ShardPlan& plan) {
+std::string ShardJob::config_line() const {
   std::ostringstream out;
   out.precision(17);
-  out << "config nodes " << num_nodes << " dim " << projection_dim
-      << " shard_rows " << plan.shard_rows << " seed "
-      << options.publish.seed << " epsilon "
-      << options.publish.params.epsilon << " delta "
-      << options.publish.params.delta << " sigma " << calibration.sigma
-      << " sensitivity " << calibration.sensitivity << " projection "
-      << to_string(options.publish.projection) << " rng "
-      << to_string(projection_rng_for(
-             options.publish.projection,
-             random::resolve_normal_kernel(options.publish.kernel)));
+  out << "config nodes " << num_nodes() << " edges " << edge_records
+      << " ids "
+      << (id_policy == graph::IdPolicy::kPreserve ? "preserve" : "compact")
+      << " dim " << publish.projection_dim << " shard_rows "
+      << plan.shard_rows << " seed " << publish.seed << " epsilon "
+      << publish.params.epsilon << " delta " << publish.params.delta
+      << " sigma " << calibration.sigma << " sensitivity "
+      << calibration.sensitivity << " projection "
+      << to_string(publish.projection) << " normals "
+      << (random::uses_polynomial_normals(publish.kernel) ? "polynomial"
+                                                          : "scalar");
   return util::crc_frame(out.str());
+}
+
+ShardJob ShardJob::parse(const std::string& line) {
+  std::string body;
+  if (!util::crc_unframe(line, body)) {
+    throw util::ParseError("shard job: config record fails its CRC: '" +
+                           line + "'");
+  }
+  ShardJob job;
+  std::string key, ids, projection, normals;
+  std::istringstream in(body);
+  in >> key >> key >> job.plan.num_rows >> key >> job.edge_records >> key >>
+      ids >> key >> job.publish.projection_dim >> key >> job.plan.shard_rows >>
+      key >> job.publish.seed >> key >> job.publish.params.epsilon >> key >>
+      job.publish.params.delta >> key >> job.calibration.sigma >> key >>
+      job.calibration.sensitivity >> key >> projection >> key >> normals;
+  job.id_policy = ids == "preserve" ? graph::IdPolicy::kPreserve
+                                    : graph::IdPolicy::kCompact;
+  job.publish.projection = projection == "achlioptas"
+                               ? ProjectionKind::kAchlioptas
+                               : ProjectionKind::kGaussian;
+  job.publish.kernel = normals == "polynomial"
+                           ? random::best_polynomial_kernel()
+                           : random::KernelVariant::kScalar;
+  // Every key, name and number must render back to the exact record, which
+  // rejects unknown names, reordered or missing fields and trailing text.
+  if (!in || job.plan.shard_rows == 0 || job.config_line() != line) {
+    throw util::ParseError("shard job: malformed config record: '" + line +
+                           "'");
+  }
+  return job;
+}
+
+ShardRelease prepare_shard_job(const graph::EdgeListShardReader& reader,
+                               const ShardedPublishOptions& options) {
+  const std::size_t n = reader.num_nodes();
+  const std::size_t m = options.publish.projection_dim;
+  util::require(n >= 1, "shard job: graph must have nodes");
+  util::require(m >= 1 && m <= n,
+                "shard job: projection_dim must be in [1, n]");
+  options.publish.params.validate();
+
+  ShardRelease release;
+  ShardJob& job = release.job;
+  job.publish = options.publish;
+  job.publish.kernel = random::resolve_normal_kernel(options.publish.kernel);
+  job.calibration = calibrate(options.publish);
+  job.plan = plan_shards(n, options.shard_rows);
+  job.edge_records = reader.edge_records();
+  job.id_policy = reader.policy();
+
+  obs::gauge(obs::names::kPublishShardRows)
+      .set(static_cast<double>(job.plan.shard_rows));
+  obs::gauge(obs::names::kPublishSigma).set(job.calibration.sigma);
+  obs::gauge(obs::names::kGraphNodes).set(static_cast<double>(n));
+
+  release.config = job.config_line();
+  // Header bytes are needed for checkpoint offsets before anything is
+  // written; rendering through the shared encoder keeps them exact.
+  std::ostringstream header;
+  write_published_header(
+      header, n, m, job.publish.params, job.calibration,
+      job.publish.projection,
+      projection_rng_for(job.publish.projection, job.publish.kernel));
+  release.header = header.str();
+  return release;
+}
+
+void compute_shard(const graph::EdgeListShardReader& reader,
+                   const ShardJob& job, std::size_t s,
+                   const util::RetryPolicy& io_retry,
+                   std::vector<double>& tile, util::ThreadPool& pool) {
+  const auto [r0, r1] = job.plan.shard_range(s);
+  obs::ScopedTimer shard_timer(obs::names::kPublishShard);
+  shard_timer.attr("shard", s).attr("rows", r1 - r0);
+  // Loading a shard is idempotent (a fresh read of the loader's spill of
+  // resolved edges, never of the text), so a transient read failure — the
+  // io.shard.read fault point — is safely retried under the policy.
+  const graph::ShardBlock shard = util::retry_with_backoff(
+      io_retry, "shard load", [&] { return reader.load_shard(r0, r1); });
+  publish_rows(shard.block(), r0, r1, job.publish, job.calibration, tile,
+               pool);
 }
 
 ShardPlan plan_shards(std::size_t num_rows, std::size_t shard_rows) {
@@ -100,48 +146,48 @@ std::size_t shard_rows_for_memory(std::size_t max_memory_mb,
 ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
                                      const ShardedPublishOptions& options,
                                      const std::string& out_path) {
-  const std::size_t n = reader.num_nodes();
-  const std::size_t m = options.publish.projection_dim;
-  util::require(n >= 1, "publish_sharded: graph must have nodes");
-  util::require(m >= 1 && m <= n,
-                "publish_sharded: projection_dim must be in [1, n]");
-  options.publish.params.validate();
-
-  const ShardPlan plan = plan_shards(n, options.shard_rows);
-  const NoiseCalibration calibration = calibrate(options.publish);
+  const ShardRelease release = prepare_shard_job(reader, options);
+  const ShardJob& job = release.job;
+  const ShardPlan& plan = job.plan;
+  const std::size_t m = job.publish.projection_dim;
 
   obs::ScopedTimer timer(obs::names::kPublishSharded);
-  timer.attr("n", n).attr("m", m).attr("shards", plan.num_shards());
-  obs::gauge(obs::names::kPublishShardRows)
-      .set(static_cast<double>(plan.shard_rows));
-  obs::gauge(obs::names::kPublishSigma).set(calibration.sigma);
-  obs::gauge(obs::names::kGraphNodes).set(static_cast<double>(n));
+  timer.attr("n", job.num_nodes()).attr("m", m)
+      .attr("shards", plan.num_shards());
 
-  // Header bytes are needed for checkpoint offsets before anything is
-  // written; rendering through the shared encoder keeps them exact.
-  std::ostringstream header;
-  write_published_header(header, n, m, options.publish.params, calibration,
-                         options.publish.projection,
-                         projection_rng_for(
-                             options.publish.projection,
-                             random::resolve_normal_kernel(options.publish.kernel)));
-  const std::string header_bytes = header.str();
+  // Release-file size once shards [0, s] are down.
+  const auto bytes_through = [&](std::size_t s) {
+    return release.header.size() +
+           static_cast<std::uint64_t>(plan.shard_range(s).second) * m *
+               sizeof(double);
+  };
+  const auto checkpoint_line = [&](std::size_t s) {
+    const auto [r0, r1] = plan.shard_range(s);
+    std::ostringstream line;
+    line << "shard " << s << " rows " << r0 << " " << r1 << " bytes "
+         << bytes_through(s);
+    return util::crc_frame(line.str());
+  };
 
   const std::string ckpt_path = out_path + ".ckpt";
-  const std::string config =
-      shard_config_line(options, n, m, calibration, plan);
-
   std::size_t completed = 0;
   if (options.resume) {
-    completed = completed_shards_in(ckpt_path, config, plan,
-                                    header_bytes.size(), m);
+    // Every record is deterministic, so a checkpoint is trusted exactly as
+    // far as it equals this run's expected lines: a torn tail, a bit flip
+    // (CRC mismatch) or another job's config stops the scan there.
+    std::ifstream in(ckpt_path, std::ios::binary);
+    std::string line;
+    if (std::getline(in, line) && line == kCheckpointMagic &&
+        std::getline(in, line) && line == release.config) {
+      while (completed < plan.num_shards() && std::getline(in, line) &&
+             line == checkpoint_line(completed)) {
+        ++completed;
+      }
+    }
     if (completed > 0) {
       // The release file must still hold every byte the checkpoint vouches
       // for; anything shorter means it was replaced or truncated → restart.
-      const auto [r0, r1] = plan.shard_range(completed - 1);
-      const std::uint64_t bytes =
-          header_bytes.size() +
-          static_cast<std::uint64_t>(r1) * m * sizeof(double);
+      const std::uint64_t bytes = bytes_through(completed - 1);
       std::error_code ec;
       const auto size = std::filesystem::file_size(out_path, ec);
       if (ec || size < bytes) {
@@ -169,8 +215,8 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
     throw util::IoError("publish_sharded: cannot open " + out_path);
   }
   if (completed == 0) {
-    out.write(header_bytes.data(),
-              static_cast<std::streamsize>(header_bytes.size()));
+    out.write(release.header.data(),
+              static_cast<std::streamsize>(release.header.size()));
   }
 
   // The checkpoint log is rewritten up to the resume point (dropping any
@@ -180,21 +226,13 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
   // record the resume path trusts while the payload bytes it vouches for
   // were still in the page cache.
   util::DurableAppender ckpt;
-  try {
-    ckpt.open(ckpt_path, /*truncate=*/true);
-    std::string prefix = std::string(kCheckpointMagic) + '\n' + config + '\n';
-    for (std::size_t s = 0; s < completed; ++s) {
-      const auto [r0, r1] = plan.shard_range(s);
-      const std::uint64_t bytes =
-          header_bytes.size() +
-          static_cast<std::uint64_t>(r1) * m * sizeof(double);
-      prefix += shard_line(s, r0, r1, bytes) + '\n';
-    }
-    ckpt.append(prefix);
-  } catch (const util::IoError& e) {
-    throw util::IoError("publish_sharded: checkpoint write failed: " +
-                        std::string(e.what()));
+  ckpt.open(ckpt_path, /*truncate=*/true);
+  std::string prefix =
+      std::string(kCheckpointMagic) + '\n' + release.config + '\n';
+  for (std::size_t s = 0; s < completed; ++s) {
+    prefix += checkpoint_line(s) + '\n';
   }
+  ckpt.append(prefix);
 
   std::optional<util::ThreadPool> local_pool;
   if (options.threads > 0) local_pool.emplace(options.threads);
@@ -205,19 +243,7 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
 
   std::vector<double> tile;
   for (std::size_t s = completed; s < plan.num_shards(); ++s) {
-    const auto [r0, r1] = plan.shard_range(s);
-    obs::ScopedTimer shard_timer(obs::names::kPublishShard);
-    shard_timer.attr("shard", s).attr("rows", r1 - r0);
-
-    // Loading a shard is idempotent (a fresh read of the loader's spill of
-    // resolved edges, never of the text), so a transient read failure —
-    // the io.shard.read fault point — is safely retried under the
-    // configured policy.
-    const graph::ShardBlock shard = util::retry_with_backoff(
-        options.io_retry, "shard load",
-        [&] { return reader.load_shard(r0, r1); });
-    publish_rows(shard.block(), r0, r1, options.publish, calibration, tile,
-                 pool);
+    compute_shard(reader, job, s, options.io_retry, tile, pool);
 
     util::fault_point(util::fault_points::kIoShardWrite);
     write_published_doubles(out, tile);
@@ -228,9 +254,7 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
     }
 
     util::fault_point(util::fault_points::kIoShardCheckpoint);
-    const std::uint64_t bytes =
-        header_bytes.size() + static_cast<std::uint64_t>(r1) * m * sizeof(double);
-    ckpt.append_line(shard_line(s, r0, r1, bytes));
+    ckpt.append_line(checkpoint_line(s));
     shards_done.add();
   }
 
@@ -244,7 +268,7 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
   std::filesystem::remove(ckpt_path, ec);
 
   ShardedPublishResult result;
-  result.num_nodes = n;
+  result.num_nodes = job.num_nodes();
   result.shards_total = plan.num_shards();
   result.shards_resumed = completed;
   return result;

@@ -63,12 +63,13 @@ void for_each_spilled_pair(std::FILE* spill, std::size_t num_pairs,
 }  // namespace
 
 EdgeListShardReader::EdgeListShardReader(std::string path, IdPolicy policy,
-                                         std::uint64_t max_preserved_id) {
+                                         std::uint64_t max_preserved_id)
+    : path_(std::move(path)), policy_(policy) {
   util::fault_point(util::fault_points::kIoRead);
   obs::ScopedTimer timer(obs::names::kIoReadShard);
-  std::ifstream in(path);
+  std::ifstream in(path_);
   if (!in.good()) {
-    throw util::IoError("shard loader: cannot open edge list file: " + path);
+    throw util::IoError("shard loader: cannot open edge list file: " + path_);
   }
   // Unlinked on creation: the spill disappears with the reader, or with
   // the process.
@@ -86,7 +87,7 @@ EdgeListShardReader::EdgeListShardReader(std::string path, IdPolicy policy,
     block.clear();
   };
   num_nodes_ = scan_edge_list_resolved(
-      in, policy, max_preserved_id, [&](std::uint32_t u, std::uint32_t v) {
+      in, policy_, max_preserved_id, [&](std::uint32_t u, std::uint32_t v) {
         block.push_back(u);
         block.push_back(v);
         ++edge_records_;

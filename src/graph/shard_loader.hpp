@@ -72,6 +72,11 @@ class EdgeListShardReader {
   /// Edge records accepted by the scan (before undirected deduplication).
   [[nodiscard]] std::size_t edge_records() const { return edge_records_; }
 
+  /// The file the constructor scanned and the id policy it numbered nodes
+  /// under — what another process must scan to see the same graph.
+  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] IdPolicy policy() const { return policy_; }
+
   /// Loads rows [row_begin, row_end) in source-major form. Requires
   /// row_begin <= row_end <= num_nodes(). Reads only the spill, never the
   /// text file; safe to call from several threads at once. Throws
@@ -84,6 +89,8 @@ class EdgeListShardReader {
     void operator()(std::FILE* f) const { std::fclose(f); }
   };
 
+  std::string path_;
+  IdPolicy policy_ = IdPolicy::kCompact;
   std::size_t num_nodes_ = 0;
   std::size_t edge_records_ = 0;
   /// Unlinked temporary file of edge_records_ resolved (u, v) uint32 pairs.

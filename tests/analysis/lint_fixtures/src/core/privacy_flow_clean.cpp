@@ -33,3 +33,16 @@ double propagate(const dp::PrivacyParams& params) {
 }
 
 }  // namespace sgp::core
+
+namespace sgp::core {
+
+// Clause (d) silent forms: the declaration and the definition are not
+// calls (only core::calibrate in src/core/publisher.cpp may call it).
+NoiseCalibration calibrate_noise(std::size_t m, const dp::PrivacyParams& params);
+
+NoiseCalibration calibrate_noise(std::size_t m, const dp::PrivacyParams& params) {
+  params.validate();
+  return {};
+}
+
+}  // namespace sgp::core

@@ -25,3 +25,12 @@ double split_by_hand(double epsilon) {
 }
 
 }  // namespace sgp::core
+
+namespace sgp::core {
+
+// Clause (d): a second calibration site outside core::calibrate.
+NoiseCalibration recalibrate(const dp::PrivacyParams& params) {
+  return calibrate_noise(64, params);
+}
+
+}  // namespace sgp::core

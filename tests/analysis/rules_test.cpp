@@ -295,6 +295,28 @@ TEST(RunRulesTest, RuleFilterSelectsSubset) {
   EXPECT_EQ(count_rule(only_r2, "R2"), 1u);
 }
 
+// --- R8 clause (d): one calibration site -----------------------------------
+
+TEST(R8CalibrationSiteTest, OnlyCoreCalibrateMayCallCalibrateNoise) {
+  const std::string text =
+      "NoiseCalibration calibrate(const Options& options) {\n"
+      "  return calibrate_noise(options.projection_dim, options.params);\n"
+      "}\n";
+  EXPECT_TRUE(lint_text("src/core/publisher.cpp", text, {"R8"}).empty());
+  const auto fs = lint_text("src/core/session.cpp", text, {"R8"});
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].snippet, "calibrate_noise");
+  EXPECT_EQ(fs[0].line, 2);
+  // R8 is scoped to src/: tests and benches may calibrate directly.
+  EXPECT_TRUE(lint_text("tests/core/x.cpp", text, {"R8"}).empty());
+  // A mention in a comment or string is not a call.
+  EXPECT_TRUE(lint_text("src/core/x.cpp",
+                        "void f() { log(\"calibrate_noise(\"); }  "
+                        "// calibrate_noise(m)\n",
+                        {"R8"})
+                  .empty());
+}
+
 TEST(RunRulesTest, FindingsAreSorted) {
   const std::string text =
       "throw std::runtime_error(\"x\");\nstd::mt19937 gen;\n";

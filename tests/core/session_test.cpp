@@ -147,6 +147,24 @@ TEST(SessionTest, LedgerBackedSessionRecoversSpentBudget) {
   std::remove(path.c_str());
 }
 
+// Recovery accounts every recorded release at this session's σ/Δ, so a
+// ledger charged under another calibration (same ε, δ) must be refused, not
+// silently re-accounted.
+TEST(SessionTest, LedgerFromAnotherCalibrationIsRefused) {
+  const std::string path =
+      testing::TempDir() + "/sgp_session_ledger_calibration.ledger";
+  std::remove(path.c_str());
+  {
+    PublishingSession::Options classic = session_options(0.5, 10.0);
+    classic.publisher.analytic_calibration = false;
+    PublishingSession session(classic, path);
+    (void)session.begin_release();
+  }
+  EXPECT_THROW(PublishingSession(session_options(0.5, 10.0), path),
+               util::LedgerCorruptError);
+  std::remove(path.c_str());
+}
+
 TEST(SessionTest, SpentIsMonotone) {
   PublishingSession session(session_options(0.5, 20.0));
   const auto g = small_graph();

@@ -21,6 +21,7 @@
 #include "graph/io.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
+#include "random/kernel_variant.hpp"
 #include "random/rng.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
@@ -163,6 +164,52 @@ TEST_F(ShardedPublishTest, StaleCheckpointFromOtherSeedIsIgnored) {
   std::ostringstream expected(std::ios::binary);
   test::reference_publish(g, opt.publish, expected);
   EXPECT_EQ(out_bytes(), expected.str());
+}
+
+// An achlioptas release keeps the counter-v1 tag under either normal
+// mapping, but its noise follows the mapping: a checkpoint written under
+// the polynomial mapping must restart, not resume, a scalar run.
+TEST_F(ShardedPublishTest, CheckpointFromOtherNormalMappingRestarts) {
+  graph::EdgeListShardReader reader(edges_path_, graph::IdPolicy::kPreserve);
+  ShardedPublishOptions opt;
+  opt.publish = publish_options();
+  opt.publish.projection = ProjectionKind::kAchlioptas;
+  opt.publish.kernel = random::KernelVariant::kGeneric;
+  opt.shard_rows = 16;
+  util::arm_fault("io.shard.checkpoint", {.after = 3, .max_fires = 1});
+  EXPECT_THROW(publish_sharded(reader, opt, out_path_), util::IoError);
+  util::disarm_all_faults();
+  ASSERT_TRUE(std::filesystem::exists(out_path_ + ".ckpt"));
+
+  opt.publish.kernel = random::KernelVariant::kScalar;
+  const ShardedPublishResult result = publish_sharded(reader, opt, out_path_);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  const graph::Graph g =
+      graph::read_edge_list_file(edges_path_, graph::IdPolicy::kPreserve);
+  std::ostringstream expected(std::ios::binary);
+  test::reference_publish(g, opt.publish, expected);
+  EXPECT_EQ(out_bytes(), expected.str());
+}
+
+// The id policy decides which node each row is, so a checkpoint written
+// while reading the file under kCompact must restart, not resume, a
+// kPreserve run over the same file (same node count here).
+TEST_F(ShardedPublishTest, CheckpointFromOtherIdPolicyRestarts) {
+  ShardedPublishOptions opt;
+  opt.publish = publish_options();
+  opt.shard_rows = 16;
+  {
+    graph::EdgeListShardReader compact(edges_path_, graph::IdPolicy::kCompact);
+    ASSERT_EQ(compact.num_nodes(), graph_.num_nodes());
+    util::arm_fault("io.shard.checkpoint", {.after = 3, .max_fires = 1});
+    EXPECT_THROW(publish_sharded(compact, opt, out_path_), util::IoError);
+    util::disarm_all_faults();
+  }
+  ASSERT_TRUE(std::filesystem::exists(out_path_ + ".ckpt"));
+
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
 }
 
 TEST_F(ShardedPublishTest, ResumeDisabledStartsFresh) {

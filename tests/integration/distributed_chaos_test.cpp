@@ -32,6 +32,7 @@
 #include "core/sharded_publish.hpp"
 #include "graph/io.hpp"
 #include "graph/shard_loader.hpp"
+#include "random/kernel_variant.hpp"
 #include "util/errors.hpp"
 #include "util/fault_injection.hpp"
 #include "util/json.hpp"
@@ -94,8 +95,6 @@ class DistributedChaosTest : public testing::Test {
     opt.sharded.threads = 2;
     opt.workers = workers;
     opt.worker_program = kPublishBin;
-    opt.edges_path = kEdgesPath;
-    opt.id_policy = graph::IdPolicy::kPreserve;
     opt.lease_timeout_seconds = 60.0;  // never trips in these tests
     opt.poll_interval_seconds = 0.005;
     return opt;
@@ -220,6 +219,79 @@ TEST_F(DistributedChaosTest, WorkerRefusesConfigDrift) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 3) << "config drift must exit kExitData";
   expect_no_side_files();
+}
+
+// Runs `sgp_publish --worker` on graph_n24.edges with `record` as its
+// --config and returns the exit status.
+int run_worker_with_record(const std::string& out_path,
+                           const std::string& record) {
+  std::ostringstream cmd;
+  cmd << kPublishBin << " --worker --edges " << kEdgesPath << " --out "
+      << out_path << " --config '" << record << "' --shards 0,1,2"
+      << " 2>/dev/null";
+  return std::system(cmd.str().c_str());
+}
+
+// A CRC-valid record whose node or edge count disagrees with the worker's
+// own scan of the file (the file changed, or another file) is drift too:
+// exit 3 before any payload.
+TEST_F(DistributedChaosTest, WorkerRefusesRecordForAnotherFile) {
+  const graph::EdgeListShardReader reader(kEdgesPath,
+                                          graph::IdPolicy::kPreserve);
+  const ShardJob job = prepare_shard_job(reader, options(2).sharded).job;
+  ShardJob more_nodes = job;
+  more_nodes.plan.num_rows += 1;
+  ShardJob more_edges = job;
+  more_edges.edge_records += 1;
+  for (const ShardJob& drifted : {more_nodes, more_edges}) {
+    const int status = run_worker_with_record(out_path_, drifted.config_line());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 3) << drifted.config_line();
+    expect_no_side_files();
+  }
+}
+
+// One flipped byte anywhere in the record fails its CRC: exit 3.
+TEST_F(DistributedChaosTest, WorkerRefusesCorruptRecord) {
+  const graph::EdgeListShardReader reader(kEdgesPath,
+                                          graph::IdPolicy::kPreserve);
+  std::string record = prepare_shard_job(reader, options(2).sharded).config;
+  const std::size_t pos = record.find(" seed ") + 6;
+  record[pos] = record[pos] == '1' ? '2' : '1';
+  const int status = run_worker_with_record(out_path_, record);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 3) << record;
+  expect_no_side_files();
+}
+
+// The record is a two-way codec: rendering a parsed record gives back the
+// same bytes at every kernel × projection × id policy × shard height point.
+TEST_F(DistributedChaosTest, JobRecordRoundTrips) {
+  for (const graph::IdPolicy ids :
+       {graph::IdPolicy::kCompact, graph::IdPolicy::kPreserve}) {
+    const graph::EdgeListShardReader reader(kEdgesPath, ids);
+    for (const random::KernelVariant kernel :
+         {random::KernelVariant::kScalar, random::KernelVariant::kGeneric,
+          random::KernelVariant::kAvx2, random::KernelVariant::kAvx512}) {
+      if (!random::kernel_supported(kernel)) continue;
+      for (const ProjectionKind projection :
+           {ProjectionKind::kGaussian, ProjectionKind::kAchlioptas}) {
+        for (const std::size_t shard_rows : {0, 1, 4, 7, 24}) {
+          ShardedPublishOptions opt = options(2).sharded;
+          opt.publish.kernel = kernel;
+          opt.publish.projection = projection;
+          opt.shard_rows = shard_rows;
+          const std::string record = prepare_shard_job(reader, opt).config;
+          const ShardJob parsed = ShardJob::parse(record);
+          EXPECT_EQ(parsed.config_line(), record);
+          EXPECT_EQ(parsed.id_policy, ids);
+          EXPECT_EQ(random::uses_polynomial_normals(parsed.publish.kernel),
+                    random::uses_polynomial_normals(kernel))
+              << record;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(DistributedChaosTest, EmptyWorkerProgramRunsFullyInProcess) {

@@ -112,8 +112,6 @@ class KernelDifferentialTest : public testing::Test {
     dopt.sharded.shard_rows = shard_rows;
     dopt.sharded.resume = false;
     dopt.workers = 1;
-    dopt.edges_path = edges_path_;
-    dopt.id_policy = graph::IdPolicy::kPreserve;
     publish_distributed(reader, dopt, out_path_);
     std::ifstream in(out_path_, std::ios::binary);
     std::ostringstream buf;

@@ -113,8 +113,6 @@ TEST(DifferentialMatrix, DistributedBytesEqualInMemoryReference) {
     opt.sharded.threads = 2;
     opt.workers = workers;
     opt.worker_program = SGP_PUBLISH_BIN;
-    opt.edges_path = edges_path;
-    opt.id_policy = graph::IdPolicy::kPreserve;
     const DistributedPublishResult result =
         publish_distributed(reader, opt, out_path);
     EXPECT_EQ(result.num_nodes, kNodes);

@@ -44,7 +44,10 @@
 // silent worker is trusted; --worker-fault-spec arms an SGP_FAULT_SPEC in
 // worker slot 0 only (the chaos hook — docs/robustness.md). The hidden
 // --worker flag is the child-process entry point and not for interactive
-// use. Architecture and lease format: docs/scaling.md.
+// use: each worker gets the release's shard job as one CRC-framed
+// `--config` record (core::ShardJob) and publishes from it alone, without
+// re-reading the publish flags or recalibrating. Architecture, worker
+// command line and record formats: docs/scaling.md.
 #include <cstdio>
 #include <filesystem>
 #include <optional>
@@ -197,8 +200,6 @@ int main(int argc, char** argv) {
         dopt.sharded = shard_opt;
         dopt.workers = workers_flag;
         dopt.worker_program = self_program(args);
-        dopt.edges_path = edges_path;
-        dopt.id_policy = policy;
         dopt.lease_timeout_seconds = args.get_double("lease-timeout", 30.0);
         const std::string worker_spec =
             args.get_string("worker-fault-spec", "");
@@ -224,32 +225,22 @@ int main(int argc, char** argv) {
             result.workers_lost, result.leases_reclaimed,
             result.shards_inprocess, result.shards_resumed,
             publish_timer.stop());
-        if (session) {
-          std::fprintf(stderr, "session now at %s (%.3f epsilon left)\n",
-                       session->spent().to_string().c_str(),
-                       session->remaining_epsilon());
-        }
-        return sgp::tools::kExitOk;
-      }
-
-      const auto result =
-          sgp::core::publish_sharded(reader, shard_opt, out_path);
-      if (session) {
+      } else {
+        const auto result =
+            sgp::core::publish_sharded(reader, shard_opt, out_path);
         std::fprintf(stderr,
-                     "published %s: %zu shards (%zu resumed); session now at "
-                     "%s (%.3f epsilon left)\n",
+                     "published %s: %zu shards of %zu rows (%zu resumed) "
+                     "under %s in %.2fs\n",
                      out_path.c_str(), result.shards_total,
-                     result.shards_resumed,
+                     shard_opt.shard_rows, result.shards_resumed,
+                     shard_opt.publish.params.to_string().c_str(),
+                     publish_timer.stop());
+      }
+      if (session) {
+        std::fprintf(stderr, "session now at %s (%.3f epsilon left)\n",
                      session->spent().to_string().c_str(),
                      session->remaining_epsilon());
-        return sgp::tools::kExitOk;
       }
-      std::fprintf(stderr,
-                   "published %s: %zu shards of %zu rows (%zu resumed) under "
-                   "%s in %.2fs\n",
-                   out_path.c_str(), result.shards_total, shard_opt.shard_rows,
-                   result.shards_resumed, opt.params.to_string().c_str(),
-                   publish_timer.stop());
       return sgp::tools::kExitOk;
     }
 
