@@ -1,6 +1,7 @@
 #include "cluster/kmeans.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -26,20 +27,37 @@ double squared_distance(std::span<const double> a, std::span<const double> b) {
   return acc;
 }
 
-/// Index of the centroid nearest to `point` (ties keep the lower index) and
-/// its squared distance. Centroids are measured four at a time, each by its
-/// own accumulator summing in dimension order — the exact value
-/// squared_distance returns — so the four add chains run independently
-/// instead of one chain bounding the scan by its latency.
-std::pair<std::uint32_t, double> nearest_centroid(
-    std::span<const double> point, const linalg::DenseMatrix& centroids) {
+/// Relative safety margin of the skip test. A d-term distance carries a
+/// relative rounding error near d·2⁻⁵³ (about 1e-14 at d = 64); this is far
+/// above it, so a bound that clears the margin also holds for the exact
+/// distances, and the full scan would have picked the same centroid.
+constexpr double kMargin = 1e-9;
+
+struct Nearest {
+  std::uint32_t index = 0;  ///< nearest centroid, ties to the lower index
+  double d2 = 0.0;          ///< its squared distance
+  double second_d2 = 0.0;   ///< smallest squared distance to any other
+};
+
+/// The centroid nearest to `point` (ties keep the lower index), its squared
+/// distance, and the second-smallest squared distance. Centroids are
+/// measured four at a time, each by its own accumulator summing in
+/// dimension order — the exact value squared_distance returns — so the four
+/// add chains run independently instead of one chain bounding the scan by
+/// its latency.
+Nearest nearest_centroid(std::span<const double> point,
+                         const linalg::DenseMatrix& centroids) {
   const std::size_t k = centroids.rows();
   double best = std::numeric_limits<double>::max();
+  double second = std::numeric_limits<double>::max();
   std::uint32_t best_c = 0;
   const auto consider = [&](std::size_t c, double d2) {
     if (d2 < best) {
+      second = best;
       best = d2;
       best_c = static_cast<std::uint32_t>(c);
+    } else if (d2 < second) {
+      second = d2;
     }
   };
   std::size_t c = 0;
@@ -54,11 +72,29 @@ std::pair<std::uint32_t, double> nearest_centroid(
     for (std::size_t b = 0; b < 4; ++b) consider(c + b, acc[b]);
   }
   for (; c < k; ++c) consider(c, squared_distance(point, centroids.row(c)));
-  return {best_c, best};
+  return {best_c, best, second};
+}
+
+/// s(c) for every centroid: half the distance from c to its nearest other
+/// centroid (+∞ when k = 1). By the triangle inequality a point closer than
+/// s(c) to c is closer to c than to any other centroid.
+void half_gaps(const linalg::DenseMatrix& centroids, std::vector<double>& s) {
+  const std::size_t k = centroids.rows();
+  std::fill(s.begin(), s.end(), std::numeric_limits<double>::infinity());
+  for (std::size_t c = 0; c < k; ++c) {
+    for (std::size_t b = c + 1; b < k; ++b) {
+      const double d2 = squared_distance(centroids.row(c), centroids.row(b));
+      if (d2 < s[c]) s[c] = d2;
+      if (d2 < s[b]) s[b] = d2;
+    }
+  }
+  for (double& gap : s) gap = 0.5 * std::sqrt(gap);
 }
 
 /// k-means++ seeding: first centroid uniform, subsequent ones sampled with
 /// probability proportional to squared distance from the nearest chosen one.
+/// The distance refresh runs in parallel; the total and the sampling walk
+/// stay serial and in index order, so the seeds do not depend on threads.
 linalg::DenseMatrix seed_centroids(const linalg::DenseMatrix& points,
                                    std::size_t k, random::Rng& rng) {
   const std::size_t n = points.rows();
@@ -71,13 +107,14 @@ linalg::DenseMatrix seed_centroids(const linalg::DenseMatrix& points,
             centroids.row(0).begin());
 
   for (std::size_t c = 1; c < k; ++c) {
+    const auto last = centroids.row(c - 1);
+    util::parallel_for(0, n, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        dist2[i] = std::min(dist2[i], squared_distance(points.row(i), last));
+      }
+    });
     double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      dist2[i] =
-          std::min(dist2[i], squared_distance(points.row(i),
-                                              centroids.row(c - 1)));
-      total += dist2[i];
-    }
+    for (const double d2 : dist2) total += d2;
     std::size_t chosen = 0;
     if (total > 0.0) {
       double target = rng.next_double() * total;
@@ -97,39 +134,71 @@ linalg::DenseMatrix seed_centroids(const linalg::DenseMatrix& points,
   return centroids;
 }
 
+/// Lloyd's iterations with Hamerly's bounds (SDM 2010). Every point gets its
+/// exact squared distance to its own centroid each iteration — that is its
+/// inertia term, so the stopping test sees the same sum — and skips the
+/// full centroid scan when that distance is, by the margin, below both s of
+/// its centroid and its lower bound on the distance to every other
+/// centroid. A skipped point's scan would have returned the same centroid
+/// and the same squared distance, so the run is plain Lloyd's bit for bit.
 KMeansResult lloyd_run(const linalg::DenseMatrix& points,
                        const KMeansOptions& options, random::Rng& rng) {
   const std::size_t n = points.rows();
   const std::size_t d = points.cols();
   const std::size_t k = options.k;
+  static obs::Counter& points_scanned =
+      obs::counter(obs::names::kKmeansPointsScanned);
 
   KMeansResult result;
   result.centroids = seed_centroids(points, k, rng);
   result.assignments.assign(n, 0);
   double previous_inertia = std::numeric_limits<double>::max();
 
+  // lower[i] never exceeds the distance from point i to any centroid but its
+  // own: every write rounds it down by the margin. It starts at 0, which
+  // proves nothing, so the first iteration's skips come from s alone — and
+  // the s test holds whatever the current assignment is.
+  std::vector<double> lower(n, 0.0);
+  std::vector<double> point_cost(n, 0.0);
+  std::vector<double> s(k);
+  double drift = 0.0;  // the farthest any centroid moved in the last update
+
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
+    half_gaps(result.centroids, s);
     // Assignment step (parallel over points).
-    double inertia = 0.0;
-    {
-      std::vector<double> point_cost(n, 0.0);
-      util::parallel_for(
-          0, n,
-          [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              const auto [c, d2] =
-                  nearest_centroid(points.row(i), result.centroids);
-              result.assignments[i] = c;
+    std::atomic<std::size_t> scanned{0};
+    util::parallel_for(
+        0, n,
+        [&](std::size_t lo, std::size_t hi) {
+          std::size_t chunk_scanned = 0;
+          for (std::size_t i = lo; i < hi; ++i) {
+            const auto point = points.row(i);
+            const std::uint32_t own = result.assignments[i];
+            const double d2 =
+                squared_distance(point, result.centroids.row(own));
+            lower[i] = (lower[i] - drift) * (1.0 - kMargin);
+            if (std::sqrt(d2) * (1.0 + kMargin) <
+                std::max(s[own], lower[i]) * (1.0 - kMargin)) {
               point_cost[i] = d2;
+              continue;
             }
-          },
-          512);
-      for (double pc : point_cost) inertia += pc;
-    }
+            const Nearest nearest = nearest_centroid(point, result.centroids);
+            result.assignments[i] = nearest.index;
+            point_cost[i] = nearest.d2;
+            lower[i] = std::sqrt(nearest.second_d2) * (1.0 - kMargin);
+            ++chunk_scanned;
+          }
+          scanned += chunk_scanned;
+        },
+        512);
+    points_scanned.add(scanned.load());
+    double inertia = 0.0;
+    for (double pc : point_cost) inertia += pc;
     result.inertia = inertia;
 
     // Update step.
+    const linalg::DenseMatrix before = result.centroids;
     linalg::DenseMatrix sums(k, d);
     std::vector<std::size_t> counts(k, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -157,6 +226,16 @@ KMeansResult lloyd_run(const linalg::DenseMatrix& points,
 
     if (previous_inertia - inertia <= options.tolerance) break;
     previous_inertia = inertia;
+
+    // Lower bounds fall by the largest centroid move (a reseed is just a
+    // long move), rounded up by the margin so they stay bounds.
+    double max_move = 0.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      max_move = std::max(
+          max_move, std::sqrt(squared_distance(before.row(c),
+                                               result.centroids.row(c))));
+    }
+    drift = max_move * (1.0 + kMargin);
   }
   return result;
 }

@@ -1,6 +1,9 @@
-// Lloyd's k-means with k-means++ seeding and multi-restart — the final stage
-// of the spectral-clustering pipeline used in the paper's node-clustering
-// utility evaluation.
+// k-means with k-means++ seeding and multi-restart — the final stage of the
+// spectral-clustering pipeline used in the paper's node-clustering utility
+// evaluation. Assignments are exactly Lloyd's: the same bits as measuring
+// every point against every centroid on every iteration. Hamerly's bounds
+// (SDM 2010), held with a relative safety margin far above rounding error,
+// only skip the centroid scans whose outcome they prove.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "core/distributed_publish.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -576,7 +577,13 @@ int run_publish_worker(const util::CliArgs& args) {
     std::string tok;
     while (std::getline(csv, tok, ',')) {
       if (tok.empty()) continue;
-      const std::size_t s = std::stoull(tok);
+      std::size_t s = 0;
+      const auto [end, ec] =
+          std::from_chars(tok.data(), tok.data() + tok.size(), s);
+      if (ec != std::errc() || end != tok.data() + tok.size()) {
+        throw util::PreconditionError("worker: --shards: '" + tok +
+                                      "' is not a shard index");
+      }
       util::require(s < job.plan.num_shards(),
                     "worker: assigned shard index out of range");
       shards.push_back(s);

@@ -28,6 +28,8 @@ inline constexpr std::string_view kIoLinesRead = "io.lines_read";
 inline constexpr std::string_view kJacobiSolves = "jacobi.solves";
 inline constexpr std::string_view kJacobiSweeps = "jacobi.sweeps";
 inline constexpr std::string_view kKmeansIterations = "kmeans.iterations";
+inline constexpr std::string_view kKmeansPointsScanned =
+    "kmeans.points_scanned";
 inline constexpr std::string_view kKmeansReseeds = "kmeans.reseeds";
 inline constexpr std::string_view kKmeansRuns = "kmeans.runs";
 inline constexpr std::string_view kLanczosFailures = "lanczos.failures";
@@ -158,6 +160,7 @@ inline constexpr std::string_view kAllNames[] = {
     kJacobiSweeps,
     kKmeans,
     kKmeansIterations,
+    kKmeansPointsScanned,
     kKmeansReseeds,
     kKmeansRuns,
     kLanczos,

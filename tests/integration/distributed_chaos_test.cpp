@@ -264,6 +264,30 @@ TEST_F(DistributedChaosTest, WorkerRefusesCorruptRecord) {
   expect_no_side_files();
 }
 
+// A --shards token that is not a shard index — not a number, past the range
+// of size_t, or a number with trailing text — is a usage error (exit 2)
+// whose message names the flag and the token.
+TEST_F(DistributedChaosTest, WorkerRejectsMalformedShardList) {
+  const graph::EdgeListShardReader reader(kEdgesPath,
+                                          graph::IdPolicy::kPreserve);
+  const std::string record =
+      prepare_shard_job(reader, options(2).sharded).config;
+  const std::string err_path = out_path_ + ".stderr";
+  for (const std::string token : {"x", "99999999999999999999999", "1x"}) {
+    std::ostringstream cmd;
+    cmd << kPublishBin << " --worker --edges " << kEdgesPath << " --out "
+        << out_path_ << " --config '" << record << "' --shards 0," << token
+        << " 2>" << err_path;
+    const int status = std::system(cmd.str().c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2) << token;
+    const std::string err = file_bytes(err_path);
+    EXPECT_NE(err.find("--shards"), std::string::npos) << err;
+    EXPECT_NE(err.find("'" + token + "'"), std::string::npos) << err;
+    expect_no_side_files();
+  }
+}
+
 // The record is a two-way codec: rendering a parsed record gives back the
 // same bytes at every kernel × projection × id policy × shard height point.
 TEST_F(DistributedChaosTest, JobRecordRoundTrips) {
