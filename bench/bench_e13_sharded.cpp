@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/distributed_publish.hpp"
 #include "core/sharded_publish.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -143,55 +142,18 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", thread_table.to_string().c_str());
 
-  // Process scaling: the distributed coordinator/worker path over real
-  // sgp_publish child processes (core/distributed_publish.hpp). processes=1
-  // runs the shards in the coordinator itself (no worker program), so the
-  // axis shares a baseline with the tables above.
-  std::printf("\nProcess scaling (shard_rows=%zu, 2 threads/worker):\n",
-              std::max<std::size_t>(1, n / 16));
-  sgp::util::TextTable process_table(
-      {"processes", "seconds", "spawned", "identical_bytes"});
-  reference_bytes.clear();
-  std::size_t max_processes = 1;
-  for (const std::size_t processes : {1, 2, 4}) {
-    sgp::core::DistributedPublishOptions dopt;
-    dopt.sharded = opt;
-    dopt.sharded.shard_rows = std::max<std::size_t>(1, n / 16);
-    dopt.sharded.threads = 2;
-    dopt.workers = processes;
-    if (processes > 1) dopt.worker_program = SGP_PUBLISH_BIN;
-    sgp::obs::ScopedTimer timer("bench.process_scaling");
-    timer.attr("processes", processes);
-    const auto result = sgp::core::publish_distributed(reader, dopt, out_path);
-    const double seconds = timer.stop();
-    const std::string bytes = read_bytes(out_path);
-    if (reference_bytes.empty()) reference_bytes = bytes;
-    process_table.new_row()
-        .add(processes)
-        .add(seconds, 3)
-        .add(result.workers_spawned)
-        .add(bytes == reference_bytes ? "yes" : "NO");
-    max_processes = processes;
-  }
-  std::printf("%s", process_table.to_string().c_str());
-
   report.meta("nodes", static_cast<std::uint64_t>(n))
       .meta("m", static_cast<std::uint64_t>(m))
       .meta("shard_rows", static_cast<std::uint64_t>(meta_shard_rows))
       .meta("peak_rss_mb", peak_rss_mb())
       .meta("threads", static_cast<std::uint64_t>(max_threads))
-      .meta("processes", static_cast<std::uint64_t>(max_processes))
       // Kernel axis: the variant the shard tiles were generated under (the
       // resolved default unless SGP_FORCE_KERNEL says otherwise); byte
-      // identity across threads/processes holds per variant.
+      // identity across threads holds per variant.
       .meta("kernel_variant",
             std::string(sgp::random::to_string(
                 sgp::random::resolve_normal_kernel(
-                    sgp::random::KernelVariant::kAuto))))
-      // This BENCH file itself is a v1 report; the flag records which
-      // observability schema distributed runs of this configuration merge
-      // into (sgp_bench_check enforces a known value).
-      .meta("obs_schema", "sgp-obs-report v2");
+                    sgp::random::KernelVariant::kAuto))));
 
   std::error_code ec;
   std::filesystem::remove(edges_path, ec);

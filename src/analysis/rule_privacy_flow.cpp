@@ -24,8 +24,8 @@
 //
 //   (d) One calibration site: calibrate_noise is called only from
 //       src/core/publisher.cpp, whose core::calibrate turns the options
-//       into the one σ/Δ record every publish mode, worker, session and
-//       mechanism carries. A second caller is a second derivation that can
+//       into the one σ/Δ record every publish mode, session and mechanism
+//       carries. A second caller is a second derivation that can
 //       drift from the σ in the header or the ledger.
 #include <string_view>
 

@@ -5,8 +5,8 @@
 //       closes instantly and times nothing. The guard must be named.
 //   (b) log_event() attaches events to the ambient trace scope; calling
 //       it from a function that never opens one (no Span/ScopedTimer
-//       declared earlier in the body, none received as a parameter, no
-//       sidecar opened) emits an event no trace can anchor. src/obs/ is
+//       declared earlier in the body, none received as a parameter) emits
+//       an event no trace can anchor. src/obs/ is
 //       exempt — it implements the machinery.
 //
 // Lambdas attribute to the enclosing named function (the indexer does not
@@ -78,22 +78,18 @@ void check_log_event_scope(const SourceFile& file, const FileIndex& index,
          j < def->params_end && !scoped; ++j) {
       scoped = t[j].kind == TokKind::kIdentifier && is_guard_name(t[j].text);
     }
-    // A guard declared (name follows the type) or a sidecar opened
-    // earlier in the body.
+    // A guard declared earlier in the body (name follows the type).
     for (std::size_t j = def->body_begin; j < i && !scoped; ++j) {
-      if (t[j].kind != TokKind::kIdentifier) continue;
-      if (is_guard_name(t[j].text) && j + 1 < t.size() &&
-          t[j + 1].kind == TokKind::kIdentifier) {
-        scoped = true;
-      }
-      if (t[j].text == "open_sidecar") scoped = true;
+      scoped = t[j].kind == TokKind::kIdentifier &&
+               is_guard_name(t[j].text) && j + 1 < t.size() &&
+               t[j + 1].kind == TokKind::kIdentifier;
     }
     if (scoped) continue;
     out.push_back({"R10", file.path, t[i].line, "log_event",
                    "span-hygiene: log_event() in '" + def->name +
                        "' with no active scope — no Span/ScopedTimer "
-                       "opened earlier, none passed in, no sidecar: the "
-                       "event has nothing to anchor to",
+                       "opened earlier, none passed in: the event has "
+                       "nothing to anchor to",
                    "open an obs::ScopedTimer (with a registered metric "
                    "name) before the first log_event, or pass the "
                    "caller's span in"});

@@ -40,7 +40,7 @@
 //                        arm_fault() appears in util/fault_point_names.hpp.
 //   R10 span-hygiene     no discarded Span/ScopedTimer temporaries (RAII
 //                        guards must be named); log_event only fires under
-//                        an active span/sidecar scope.
+//                        an active span scope.
 #pragma once
 
 #include <string>

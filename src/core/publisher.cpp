@@ -184,9 +184,8 @@ void publish_rows(const linalg::SourceMajorBlock& block, std::size_t row_begin,
       });
   perturb_timer.stop();
 
-  // Counted in the one kernel every mode runs, so in-memory, sharded and
-  // distributed (summed over processes) runs agree; each source reaching
-  // the block cost one generated P row.
+  // Counted in the one kernel every mode runs, so in-memory and sharded
+  // runs agree; each source reaching the block cost one generated P row.
   std::uint64_t sources = 0;
   for (std::size_t j = 0; j < block.num_sources(); ++j) {
     sources += block.offsets[j + 1] != block.offsets[j];

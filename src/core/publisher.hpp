@@ -56,8 +56,8 @@ enum class ProjectionRngKind {
 
 /// The tag a new release publishes under, given its projection family and
 /// the RESOLVED kernel variant (never kAuto): gaussian + polynomial normals
-/// → kCounterV1Simd, everything else → kCounterV1. Shared by the in-memory,
-/// sharded, and distributed publishers so they can never disagree.
+/// → kCounterV1Simd, everything else → kCounterV1. Shared by the in-memory
+/// and sharded publishers so they can never disagree.
 [[nodiscard]] ProjectionRngKind projection_rng_for(
     ProjectionKind projection, random::KernelVariant resolved_kernel);
 
@@ -134,13 +134,12 @@ class RandomProjectionPublisher {
 /// into `out` (resized to (row_end − row_begin)·m, row-major). `block` is the
 /// column block A[:, row_begin:row_end) in source-major form
 /// (linalg::SourceMajorBlock): the in-memory publisher passes the whole
-/// matrix as one block, the sharded and distributed publishers one shard at
-/// a time. P_j is generated once per block, and only for sources adjacent
-/// to the block's rows; contributions reach each cell in ascending j, then
-/// the σ-scaled counter noise is added — so the bytes are the same for every
-/// shard height, process topology and thread count. Records the
-/// publish.project / publish.perturb timers and the publish.cells /
-/// publish.p_rows_generated counters.
+/// matrix as one block, the sharded publisher one shard at a time. P_j is
+/// generated once per block, and only for sources adjacent to the block's
+/// rows; contributions reach each cell in ascending j, then the σ-scaled
+/// counter noise is added — so the bytes are the same for every shard
+/// height and thread count. Records the publish.project / publish.perturb
+/// timers and the publish.cells / publish.p_rows_generated counters.
 void publish_rows(const linalg::SourceMajorBlock& block, std::size_t row_begin,
                   std::size_t row_end,
                   const RandomProjectionPublisher::Options& options,

@@ -15,8 +15,8 @@ namespace sgp::core {
 
 /// Writes the v2 text header (magic through the "data" marker, inclusive)
 /// exactly as save_published emits it. The single encoder for the header
-/// bytes: save_published and the sharded and distributed publishers
-/// (core/sharded_publish.hpp) all call this, so their outputs can only
+/// bytes: save_published and the sharded publisher
+/// (core/sharded_publish.hpp) both call this, so their outputs can only
 /// differ in the payload. Sets the stream's precision to 17
 /// (max_digits10) as a side effect.
 void write_published_header(std::ostream& out, std::size_t num_nodes,

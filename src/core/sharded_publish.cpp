@@ -26,56 +26,16 @@ namespace {
 
 constexpr char kCheckpointMagic[] = "sgp-shard-checkpoint v1";
 
-}  // namespace
-
-std::string ShardJob::config_line() const {
-  std::ostringstream out;
-  out.precision(17);
-  out << "config nodes " << num_nodes() << " edges " << edge_records
-      << " ids "
-      << (id_policy == graph::IdPolicy::kPreserve ? "preserve" : "compact")
-      << " dim " << publish.projection_dim << " shard_rows "
-      << plan.shard_rows << " seed " << publish.seed << " epsilon "
-      << publish.params.epsilon << " delta " << publish.params.delta
-      << " sigma " << calibration.sigma << " sensitivity "
-      << calibration.sensitivity << " projection "
-      << to_string(publish.projection) << " normals "
-      << (random::uses_polynomial_normals(publish.kernel) ? "polynomial"
-                                                          : "scalar");
-  return util::crc_frame(out.str());
-}
-
-ShardJob ShardJob::parse(const std::string& line) {
-  std::string body;
-  if (!util::crc_unframe(line, body)) {
-    throw util::ParseError("shard job: config record fails its CRC: '" +
-                           line + "'");
-  }
+/// A prepared release: the job, its config record and the header bytes.
+struct ShardRelease {
   ShardJob job;
-  std::string key, ids, projection, normals;
-  std::istringstream in(body);
-  in >> key >> key >> job.plan.num_rows >> key >> job.edge_records >> key >>
-      ids >> key >> job.publish.projection_dim >> key >> job.plan.shard_rows >>
-      key >> job.publish.seed >> key >> job.publish.params.epsilon >> key >>
-      job.publish.params.delta >> key >> job.calibration.sigma >> key >>
-      job.calibration.sensitivity >> key >> projection >> key >> normals;
-  job.id_policy = ids == "preserve" ? graph::IdPolicy::kPreserve
-                                    : graph::IdPolicy::kCompact;
-  job.publish.projection = projection == "achlioptas"
-                               ? ProjectionKind::kAchlioptas
-                               : ProjectionKind::kGaussian;
-  job.publish.kernel = normals == "polynomial"
-                           ? random::best_polynomial_kernel()
-                           : random::KernelVariant::kScalar;
-  // Every key, name and number must render back to the exact record, which
-  // rejects unknown names, reordered or missing fields and trailing text.
-  if (!in || job.plan.shard_rows == 0 || job.config_line() != line) {
-    throw util::ParseError("shard job: malformed config record: '" + line +
-                           "'");
-  }
-  return job;
-}
+  std::string config;
+  std::string header;
+};
 
+/// Validation (PreconditionError), the plan, the one core::calibrate call,
+/// the publish.shard_rows / publish.sigma / graph.nodes gauges, the config
+/// record and the header.
 ShardRelease prepare_shard_job(const graph::EdgeListShardReader& reader,
                                const ShardedPublishOptions& options) {
   const std::size_t n = reader.num_nodes();
@@ -111,6 +71,8 @@ ShardRelease prepare_shard_job(const graph::EdgeListShardReader& reader,
   return release;
 }
 
+/// One shard step: under a publish.shard span, loads shard `s` (retried
+/// under `io_retry`) and computes its rows into `tile` with publish_rows.
 void compute_shard(const graph::EdgeListShardReader& reader,
                    const ShardJob& job, std::size_t s,
                    const util::RetryPolicy& io_retry,
@@ -125,6 +87,25 @@ void compute_shard(const graph::EdgeListShardReader& reader,
       io_retry, "shard load", [&] { return reader.load_shard(r0, r1); });
   publish_rows(shard.block(), r0, r1, job.publish, job.calibration, tile,
                pool);
+}
+
+}  // namespace
+
+std::string ShardJob::config_line() const {
+  std::ostringstream out;
+  out.precision(17);
+  out << "config nodes " << num_nodes() << " edges " << edge_records
+      << " ids "
+      << (id_policy == graph::IdPolicy::kPreserve ? "preserve" : "compact")
+      << " dim " << publish.projection_dim << " shard_rows "
+      << plan.shard_rows << " seed " << publish.seed << " epsilon "
+      << publish.params.epsilon << " delta " << publish.params.delta
+      << " sigma " << calibration.sigma << " sensitivity "
+      << calibration.sensitivity << " projection "
+      << to_string(publish.projection) << " normals "
+      << (random::uses_polynomial_normals(publish.kernel) ? "polynomial"
+                                                          : "scalar");
+  return util::crc_frame(out.str());
 }
 
 ShardPlan plan_shards(std::size_t num_rows, std::size_t shard_rows) {

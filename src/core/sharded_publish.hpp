@@ -24,13 +24,11 @@
 #include <cstdint>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/publisher.hpp"
 #include "graph/shard_loader.hpp"
 #include "util/check.hpp"
 #include "util/retry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sgp::core {
 
@@ -85,8 +83,8 @@ struct ShardedPublishOptions {
   bool resume = true;
   /// Retry policy for the transiently-failing IO steps (shard loads — the
   /// `io.shard.read` fault point; re-loading is idempotent). The default
-  /// max_attempts == 1 preserves fail-fast semantics; the distributed
-  /// coordinator/worker mode raises it.
+  /// max_attempts == 1 preserves fail-fast semantics; `sgp_publish
+  /// --io-attempts` raises it.
   util::RetryPolicy io_retry{.max_attempts = 1};
 };
 
@@ -106,15 +104,14 @@ ShardedPublishResult publish_sharded(const graph::EdgeListShardReader& reader,
                                      const ShardedPublishOptions& options,
                                      const std::string& out_path);
 
-/// One publication's shard job: every value a process needs to compute any
-/// shard, since row i is Ỹ_i = Σ_j A_ij·P_j + σ·N_i. It travels as one
-/// CRC-framed record — the config line of `<out>.ckpt` / `<out>.lease`
-/// (so state resumes only into the same job) and a worker's `--config`.
+/// One publication's shard job: every value needed to compute any shard,
+/// since row i is Ỹ_i = Σ_j A_ij·P_j + σ·N_i. Its CRC-framed config line
+/// heads `<out>.ckpt`, so a checkpoint resumes only into the same job.
 struct ShardJob {
   /// m, ε, δ, seed, projection, and `kernel` resolved. Only the kernel's
-  /// normal mapping is recorded: a parsed job runs kScalar or this
-  /// machine's best polynomial kernel (same bytes). analytic_calibration
-  /// and delta_split are not recorded; `calibration` is their result.
+  /// normal mapping is recorded (kScalar and the polynomial kernels write
+  /// the same bytes within each mapping). analytic_calibration and
+  /// delta_split are not recorded; `calibration` is their result.
   RandomProjectionPublisher::Options publish;
   NoiseCalibration calibration;  ///< σ and Δ (core::calibrate)
   ShardPlan plan;                ///< plan.num_rows is the node count n
@@ -127,32 +124,6 @@ struct ShardJob {
   /// <S> seed <seed> epsilon <ε> delta <δ> sigma <σ> sensitivity <Δ>
   /// projection <kind> normals <scalar|polynomial> crc <crc32>`.
   [[nodiscard]] std::string config_line() const;
-  /// Inverse of config_line (config_line(parse(r)) == r). Throws
-  /// util::ParseError on a CRC failure or a malformed record.
-  [[nodiscard]] static ShardJob parse(const std::string& line);
 };
-
-/// A prepared release: the job, its config record and the header bytes.
-struct ShardRelease {
-  ShardJob job;
-  std::string config;
-  std::string header;
-};
-
-/// The prologue publish_sharded and publish_distributed share: validation
-/// (PreconditionError), the plan, the one core::calibrate call, the
-/// publish.shard_rows / publish.sigma / graph.nodes gauges, the config
-/// record and the header.
-[[nodiscard]] ShardRelease prepare_shard_job(
-    const graph::EdgeListShardReader& reader,
-    const ShardedPublishOptions& options);
-
-/// The one shard step of every out-of-core path: under a publish.shard span,
-/// loads shard `s` (retried under `io_retry`) and computes its rows into
-/// `tile` with publish_rows. Writes nothing and fires no fault point.
-void compute_shard(const graph::EdgeListShardReader& reader,
-                   const ShardJob& job, std::size_t s,
-                   const util::RetryPolicy& io_retry,
-                   std::vector<double>& tile, util::ThreadPool& pool);
 
 }  // namespace sgp::core

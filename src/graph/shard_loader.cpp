@@ -62,14 +62,15 @@ void for_each_spilled_pair(std::FILE* spill, std::size_t num_pairs,
 
 }  // namespace
 
-EdgeListShardReader::EdgeListShardReader(std::string path, IdPolicy policy,
+EdgeListShardReader::EdgeListShardReader(const std::string& path,
+                                         IdPolicy policy,
                                          std::uint64_t max_preserved_id)
-    : path_(std::move(path)), policy_(policy) {
+    : policy_(policy) {
   util::fault_point(util::fault_points::kIoRead);
   obs::ScopedTimer timer(obs::names::kIoReadShard);
-  std::ifstream in(path_);
+  std::ifstream in(path);
   if (!in.good()) {
-    throw util::IoError("shard loader: cannot open edge list file: " + path_);
+    throw util::IoError("shard loader: cannot open edge list file: " + path);
   }
   // Unlinked on creation: the spill disappears with the reader, or with
   // the process.

@@ -63,7 +63,7 @@ class EdgeListShardReader {
   /// spill cannot be written, and util::ParseError on malformed content
   /// (same grammar as read_edge_list).
   explicit EdgeListShardReader(
-      std::string path, IdPolicy policy = IdPolicy::kCompact,
+      const std::string& path, IdPolicy policy = IdPolicy::kCompact,
       std::uint64_t max_preserved_id = kDefaultMaxPreservedNodeId);
 
   /// Node count of the full graph — equals read_edge_list(...).num_nodes().
@@ -72,9 +72,7 @@ class EdgeListShardReader {
   /// Edge records accepted by the scan (before undirected deduplication).
   [[nodiscard]] std::size_t edge_records() const { return edge_records_; }
 
-  /// The file the constructor scanned and the id policy it numbered nodes
-  /// under — what another process must scan to see the same graph.
-  [[nodiscard]] const std::string& path() const { return path_; }
+  /// The id policy the constructor numbered nodes under.
   [[nodiscard]] IdPolicy policy() const { return policy_; }
 
   /// Loads rows [row_begin, row_end) in source-major form. Requires
@@ -89,7 +87,6 @@ class EdgeListShardReader {
     void operator()(std::FILE* f) const { std::fclose(f); }
   };
 
-  std::string path_;
   IdPolicy policy_ = IdPolicy::kCompact;
   std::size_t num_nodes_ = 0;
   std::size_t edge_records_ = 0;

@@ -51,8 +51,6 @@ inline constexpr std::string_view kObsEvents = "obs.events";
 inline constexpr std::string_view kProcSamples = "proc.samples";
 inline constexpr std::string_view kPublishCells = "publish.cells";
 inline constexpr std::string_view kPublishEmbeds = "publish.embeds";
-inline constexpr std::string_view kPublishLeasesReclaimed =
-    "publish.leases_reclaimed";
 inline constexpr std::string_view kPublishPRowsGenerated =
     "publish.p_rows_generated";
 inline constexpr std::string_view kPublishReleases = "publish.releases";
@@ -82,25 +80,14 @@ inline constexpr std::string_view kPublishKernelVariant =
     "publish.kernel_variant";
 inline constexpr std::string_view kPublishShardRows = "publish.shard_rows";
 inline constexpr std::string_view kPublishSigma = "publish.sigma";
-inline constexpr std::string_view kPublishWorkers = "publish.workers";
 inline constexpr std::string_view kThreadpoolThreads = "threadpool.threads";
 
 // --- lifecycle event names (obs::log_event) ------------------------------
-// Structured events appended to the per-process observability sidecar
-// (obs/event_log.hpp) and surfaced in the merged sgp-obs-report v2
+// Structured events (obs/event_log.hpp), surfaced in the v1 report's
 // "events" array; R3 holds these to the same single-source-of-truth rule
 // as metric names.
-inline constexpr std::string_view kEventLeaseReclaimed = "lease.reclaimed";
 inline constexpr std::string_view kEventLedgerCharge = "ledger.charge";
 inline constexpr std::string_view kEventProcSample = "proc.sample";
-inline constexpr std::string_view kEventShardCommitted = "shard.committed";
-inline constexpr std::string_view kEventShardLeased = "shard.leased";
-inline constexpr std::string_view kEventShardResumed = "shard.resumed";
-inline constexpr std::string_view kEventWorkerExit = "worker.exit";
-inline constexpr std::string_view kEventWorkerShardDone = "worker.shard_done";
-inline constexpr std::string_view kEventWorkerShardStart =
-    "worker.shard_start";
-inline constexpr std::string_view kEventWorkerSpawned = "worker.spawned";
 
 // --- histograms recorded directly (not via ScopedTimer) ------------------
 inline constexpr std::string_view kLedgerAppendSeconds =
@@ -122,7 +109,6 @@ inline constexpr std::string_view kMechanismPerturb = "mechanism.perturb";
 inline constexpr std::string_view kMechanismPublish = "mechanism.publish";
 inline constexpr std::string_view kMechanismResample = "mechanism.resample";
 inline constexpr std::string_view kPublish = "publish";
-inline constexpr std::string_view kPublishDistributed = "publish.distributed";
 inline constexpr std::string_view kPublishEmbed = "publish.embed";
 inline constexpr std::string_view kPublishPerturb = "publish.perturb";
 inline constexpr std::string_view kPublishProject = "publish.project";
@@ -168,7 +154,6 @@ inline constexpr std::string_view kAllNames[] = {
     kLanczosIterations,
     kLanczosRestarts,
     kLanczosSolves,
-    kEventLeaseReclaimed,
     kLedgerAppendSeconds,
     kLedgerAppendAttempts,
     kLedgerAppends,
@@ -194,11 +179,9 @@ inline constexpr std::string_view kAllNames[] = {
     kProcUtimeSeconds,
     kPublish,
     kPublishCells,
-    kPublishDistributed,
     kPublishEmbed,
     kPublishEmbeds,
     kPublishKernelVariant,
-    kPublishLeasesReclaimed,
     kPublishPRowsGenerated,
     kPublishPerturb,
     kPublishProject,
@@ -209,15 +192,11 @@ inline constexpr std::string_view kAllNames[] = {
     kPublishShards,
     kPublishShardsResumed,
     kPublishSigma,
-    kPublishWorkers,
     kRetryAttempts,
     kSessionBeginRelease,
     kSessionBudgetRefusals,
     kSessionPublish,
     kSessionPublishes,
-    kEventShardCommitted,
-    kEventShardLeased,
-    kEventShardResumed,
     kSpectralDenseFallbacks,
     kSpectralEmbed,
     kSpectralLanczosRetries,
@@ -228,10 +207,6 @@ inline constexpr std::string_view kAllNames[] = {
     kToolLoadGraph,
     kToolPublish,
     kToolStats,
-    kEventWorkerExit,
-    kEventWorkerShardDone,
-    kEventWorkerShardStart,
-    kEventWorkerSpawned,
 };
 
 /// True when `name` is in kAllNames, or is the "<base>.seconds" histogram

@@ -11,11 +11,17 @@
 //     "meta": {"nodes": 4000, "epsilon": 1.0, ...},
 //     "phases": [{"name": "publish", "seconds": 1.23}, ...],
 //     "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}},
-//     "spans": [...]
+//     "spans": [...],
+//     "events": [{"t": 0.12, "name": "ledger.charge", "fields": {...}}, ...]
 //   }
 //
 // "phases" summarizes the root spans (name + duration, completion order) so
 // consumers that only want coarse timings need not walk the span tree.
+// "events" is the lifecycle event log (obs/event_log.hpp) in log order; it
+// is optional for readers, so reports written before it existed validate.
+//
+// The same module renders a parsed report as a Chrome trace-event timeline
+// and a text summary — the sgp_trace tool.
 #pragma once
 
 #include <cstdint>
@@ -60,5 +66,20 @@ class Report {
 /// Checks a parsed report against the schema above. Returns std::nullopt on
 /// success, else a human-readable description of the first violation.
 std::optional<std::string> validate_report_json(const util::JsonValue& doc);
+
+/// Renders a parsed report as Chrome trace-event JSON
+/// ({"traceEvents": […]}) for chrome://tracing or ui.perfetto.dev: a
+/// process-name record, spans as "X" complete events (ts/dur in µs) laned
+/// by thread, proc.sample events as "C" counter tracks, and every other
+/// event as an "i" instant.
+void write_chrome_trace(std::ostream& out, const util::JsonValue& report);
+
+/// Structural check for the Chrome trace JSON write_chrome_trace emits.
+[[nodiscard]] std::optional<std::string> validate_chrome_trace_json(
+    const util::JsonValue& doc);
+
+/// Human-readable timeline of a parsed report: a per-shard Gantt over the
+/// publish.shard spans and the critical path through the span tree.
+void write_trace_summary(std::ostream& out, const util::JsonValue& report);
 
 }  // namespace sgp::obs

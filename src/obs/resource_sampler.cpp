@@ -112,15 +112,12 @@ bool ResourceSampler::sample_once() {
   gauge(names::kProcStimeSeconds).set(r.stime_seconds);
   gauge(names::kProcOpenFds).set(r.open_fds);
   counter(names::kProcSamples).add();
-  // Non-durable: samples ride along with the next shard-boundary fsync
-  // instead of forcing one per tick.
   log_event(names::kEventProcSample,
             {{"rss_mb", format_mb(r.rss_mb)},
              {"peak_rss_mb", format_mb(r.peak_rss_mb)},
              {"utime_seconds", format_mb(r.utime_seconds)},
              {"stime_seconds", format_mb(r.stime_seconds)},
-             {"open_fds", format_mb(r.open_fds)}},
-            /*durable=*/false);
+             {"open_fds", format_mb(r.open_fds)}});
   return true;
 }
 

@@ -1,9 +1,8 @@
 // Background process-resource sampler feeding the canonical proc.* gauges.
 //
-// Every observed process — coordinator, workers, bench harness — runs one
-// sampler thread that periodically reads /proc/self/status (VmRSS, VmHWM),
-// /proc/self/stat (utime/stime) and counts /proc/self/fd entries, then
-// publishes:
+// Every observed tool process runs one sampler thread that periodically
+// reads /proc/self/status (VmRSS, VmHWM), /proc/self/stat (utime/stime) and
+// counts /proc/self/fd entries, then publishes:
 //
 //   gauge   proc.rss_mb         resident set size, MiB
 //   gauge   proc.peak_rss_mb    peak RSS (VmHWM), MiB
@@ -12,11 +11,8 @@
 //   gauge   proc.open_fds       open file descriptors
 //   counter proc.samples        samples taken
 //
-// plus a non-durable proc.sample event per tick (batched by the event log —
-// the sampler never forces an fsync of its own). The merged v2 report keeps
-// these gauges per-process under their "processes" key, which is the whole
-// point: RSS readings from different processes must never be folded into
-// one number.
+// plus a proc.sample event per tick (obs/event_log.hpp), which the Chrome
+// export renders as counter tracks.
 //
 // Off Linux (/proc absent) start() is a no-op that reports inactive.
 // Sampling is wall-clock paced and self-terminating: stop() (or process

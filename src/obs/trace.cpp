@@ -19,26 +19,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Steady and wall clocks sampled at the same instant, so relative span
-/// times can be re-anchored onto Unix time across processes.
-struct TraceEpoch {
-  Clock::time_point steady;
-  double unix_seconds;
-};
-
-const TraceEpoch& trace_epoch_pair() {
-  static const TraceEpoch epoch = [] {
-    TraceEpoch e;
-    e.steady = Clock::now();
-    e.unix_seconds = std::chrono::duration<double>(
-                         std::chrono::system_clock::now().time_since_epoch())
-                         .count();
-    return e;
-  }();
+Clock::time_point trace_epoch() {
+  static const Clock::time_point epoch = Clock::now();
   return epoch;
 }
-
-Clock::time_point trace_epoch() { return trace_epoch_pair().steady; }
 
 std::atomic<std::uint64_t> g_next_span_id{1};
 std::atomic<std::uint32_t> g_next_thread_id{0};
@@ -159,12 +143,6 @@ void set_trace_enabled(bool on) noexcept {
 
 double trace_clock_seconds() {
   return std::chrono::duration<double>(Clock::now() - trace_epoch()).count();
-}
-
-double trace_epoch_unix_seconds() { return trace_epoch_pair().unix_seconds; }
-
-std::uint64_t current_span_id() {
-  return t_span_stack.empty() ? 0 : t_span_stack.back();
 }
 
 Span::Span(std::string_view name) {

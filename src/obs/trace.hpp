@@ -88,17 +88,6 @@ void clear_spans();
 /// Seconds since the trace epoch — the clock Span uses internally.
 [[nodiscard]] double trace_clock_seconds();
 
-/// Unix time (seconds since 1970, system clock) of the trace epoch. Spans
-/// and events carry times relative to the per-process epoch; this anchor
-/// lets the cross-process aggregator (obs/aggregate.hpp) shift worker
-/// timelines into the coordinator's frame.
-[[nodiscard]] double trace_epoch_unix_seconds();
-
-/// Id of the innermost span open on the calling thread, or 0 when none is.
-/// The distributed coordinator passes this to workers as the parent under
-/// which their span forests are re-attached at merge time.
-[[nodiscard]] std::uint64_t current_span_id();
-
 /// Writes the span forest as JSON:
 ///   [{"name": ..., "start": s, "duration": d, "thread": t,
 ///     "attrs": {...}, "children": [...]}, ...]

@@ -1,11 +1,10 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte strings.
 //
-// Shared by the durable on-disk logs — the budget ledger (core/ledger.cpp),
-// the shard checkpoint and lease logs (core/sharded_publish.cpp,
-// core/distributed_publish.cpp) and the observability sidecars
-// (obs/event_log.cpp) — whose text records each carry a per-record checksum
-// so a torn or bit-flipped line is detected on load instead of silently
-// corrupting recovery. Every one of them frames a record the same way:
+// Shared by the durable on-disk logs — the budget ledger (core/ledger.cpp)
+// and the shard checkpoint log (core/sharded_publish.cpp) — whose text
+// records each carry a per-record checksum so a torn or bit-flipped line is
+// detected on load instead of silently corrupting recovery. Both frame a
+// record the same way:
 // `<body> crc <8-hex-crc32>` (crc_frame / crc_unframe below).
 #pragma once
 

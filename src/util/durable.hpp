@@ -2,9 +2,9 @@
 // the disk, not just the stream buffer.
 //
 // A flush() moves bytes from the process into the kernel page cache — it
-// survives a process crash but not a machine crash. The checkpoint and
-// lease logs (core/sharded_publish.cpp, core/distributed_publish.cpp)
-// vouch for payload bytes in *other* files, so a record that outlives a
+// survives a process crash but not a machine crash. The shard checkpoint
+// log (core/sharded_publish.cpp) vouches for payload bytes in *another*
+// file, so a record that outlives a
 // power loss while the payload did not would resume into garbage.
 // DurableAppender therefore fsyncs after every append: on POSIX each
 // append() is write(2)-to-completion followed by fsync(2); elsewhere it

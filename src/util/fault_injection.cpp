@@ -64,13 +64,6 @@ double uniform01(std::uint64_t bits) {
   if (point.rfind("solver", 0) == 0) {
     throw ConvergenceError("fault injected: " + point);
   }
-  if (point.rfind("proc.worker.exit", 0) == 0) {
-    // The chaos primitive for "a worker process was SIGKILLed mid-shard":
-    // no exception, no unwinding, no flushes — the process is simply gone,
-    // exactly as the coordinator would observe a real kill (137 is the
-    // shell's 128+SIGKILL convention).
-    std::_Exit(137);
-  }
   throw IoError("fault injected: " + point);
 }
 

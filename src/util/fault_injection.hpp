@@ -9,14 +9,9 @@
 //
 //   point prefix      effect when fired
 //   io.*, ledger.*    throws util::IoError
-//   lease.*           throws util::IoError
 //   solver.*          throws util::ConvergenceError
 //   alloc*            throws std::bad_alloc
-//   proc.worker.exit  terminates the process immediately (std::_Exit 137,
-//                     the shell code for SIGKILL) — the "worker died
-//                     mid-shard" chaos primitive; no destructors, flushes,
-//                     or checkpoint records run
-//   proc.* (other)    throws util::IoError
+//   (other)           throws util::IoError
 //
 // Failures are seed-driven and replay exactly: the n-th hit of a point
 // fires (or not) as a pure function of the armed config, never of wall
@@ -26,16 +21,9 @@
 //   io.read           graph/io.cpp read paths, core/serialization.cpp load
 //   io.write          graph/io.cpp write paths, core/serialization.cpp save
 //   io.shard.read     graph/shard_loader.cpp streaming shard passes
-//   io.shard.write    core/sharded_publish.cpp shard payload append,
-//                     core/distributed_publish.cpp shard concatenation
+//   io.shard.write    core/sharded_publish.cpp shard payload append
 //   io.shard.checkpoint  core/sharded_publish.cpp checkpoint record append
 //   ledger.append     core/ledger.cpp durable append
-//   lease.acquire     core/distributed_publish.cpp coordinator lease-record
-//                     append (retried under util/retry.hpp)
-//   lease.heartbeat   core/distributed_publish.cpp worker heartbeat append
-//   proc.spawn        util/subprocess.cpp process creation
-//   proc.worker.exit  core/distributed_publish.cpp worker shard loop (hard
-//                     process exit — see the effect table above)
 //   solver.iteration  linalg/lanczos.cpp and linalg/power_iteration.cpp loops
 //   alloc             core/projection.cpp projection-matrix allocation
 //

@@ -9,8 +9,8 @@
 // Adding a point: add a constant AND a kAllFaultPoints entry, use the
 // constant at the call site, document the row in docs/robustness.md, and
 // keep the prefix consistent with the error mapping in
-// util/fault_injection.hpp (io.* / ledger.* / lease.* -> IoError, solver.*
-// -> ConvergenceError, alloc* -> bad_alloc, proc.worker.exit -> _Exit).
+// util/fault_injection.hpp (io.* / ledger.* -> IoError, solver.* ->
+// ConvergenceError, alloc* -> bad_alloc).
 #pragma once
 
 #include <string_view>
@@ -23,11 +23,7 @@ inline constexpr std::string_view kIoShardCheckpoint = "io.shard.checkpoint";
 inline constexpr std::string_view kIoShardRead = "io.shard.read";
 inline constexpr std::string_view kIoShardWrite = "io.shard.write";
 inline constexpr std::string_view kIoWrite = "io.write";
-inline constexpr std::string_view kLeaseAcquire = "lease.acquire";
-inline constexpr std::string_view kLeaseHeartbeat = "lease.heartbeat";
 inline constexpr std::string_view kLedgerAppend = "ledger.append";
-inline constexpr std::string_view kProcSpawn = "proc.spawn";
-inline constexpr std::string_view kProcWorkerExit = "proc.worker.exit";
 inline constexpr std::string_view kSolverIteration = "solver.iteration";
 
 /// Every canonical point, strictly sorted (asserted by
@@ -40,11 +36,7 @@ inline constexpr std::string_view kAllFaultPoints[] = {
     kIoShardRead,
     kIoShardWrite,
     kIoWrite,
-    kLeaseAcquire,
-    kLeaseHeartbeat,
     kLedgerAppend,
-    kProcSpawn,
-    kProcWorkerExit,
     kSolverIteration,
 };
 

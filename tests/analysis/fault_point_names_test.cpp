@@ -56,7 +56,16 @@ TEST(FaultPointNamesTest, UnknownPointsAreNotCanonical) {
 TEST(FaultPointNamesTest, SpotCheckConstantValues) {
   EXPECT_EQ(kAlloc, "alloc");
   EXPECT_EQ(kIoShardWrite, "io.shard.write");
-  EXPECT_EQ(kProcWorkerExit, "proc.worker.exit");
+  EXPECT_EQ(kIoShardCheckpoint, "io.shard.checkpoint");
+}
+
+// The multi-process publish and its points are gone; a chaos spec naming
+// one must not arm a point production never hits.
+TEST(FaultPointNamesTest, RemovedWorkerPointsAreNotCanonical) {
+  for (const char* removed : {"proc.spawn", "proc.worker.exit",
+                              "lease.acquire", "lease.heartbeat"}) {
+    EXPECT_FALSE(is_canonical_fault_point(removed)) << removed;
+  }
 }
 
 // Drift check: every fault-point-shaped name mentioned in backticks in the

@@ -6,11 +6,11 @@ namespace sgp::core {
 
 void measured_publish() {
   obs::ScopedTimer timer(obs::names::kPublish);
-  obs::log_event(obs::names::kEventShardLeased, {});
+  obs::log_event(obs::names::kEventLedgerCharge, {});
 }
 
 void logs_under_caller(obs::Span& span, int release) {
-  obs::log_event(obs::names::kEventShardResumed,
+  obs::log_event(obs::names::kEventLedgerCharge,
                  {{"release", std::to_string(release)}});
 }
 

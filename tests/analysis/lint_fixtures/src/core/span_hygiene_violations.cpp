@@ -9,7 +9,7 @@ void measure_nothing() {
 }
 
 void unanchored_event() {
-  obs::log_event(obs::names::kEventShardLeased, {});
+  obs::log_event(obs::names::kEventLedgerCharge, {});
 }
 
 }  // namespace sgp::core

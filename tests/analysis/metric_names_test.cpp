@@ -63,6 +63,18 @@ TEST(MetricNamesTest, UnknownNamesAreNotCanonical) {
   EXPECT_FALSE(is_canonical_name(""));
 }
 
+// The multi-process publish and its instruments are gone; a report, a doc
+// or a call site naming one is stale.
+TEST(MetricNamesTest, RemovedWorkerNamesAreNotCanonical) {
+  for (const char* removed :
+       {"publish.workers", "publish.leases_reclaimed", "publish.distributed",
+        "publish.distributed.seconds", "lease.reclaimed", "shard.leased",
+        "shard.committed", "shard.resumed", "worker.exit", "worker.spawned",
+        "worker.shard_start", "worker.shard_done"}) {
+    EXPECT_FALSE(is_canonical_name(removed)) << removed;
+  }
+}
+
 TEST(MetricNamesTest, SpotCheckConstantValues) {
   EXPECT_EQ(kPublish, "publish");
   EXPECT_EQ(kPublishReleases, "publish.releases");

@@ -33,9 +33,12 @@ namespace {
 class ShardedPublishTest : public testing::Test {
  protected:
   void SetUp() override {
-    const std::string stem =
-        testing::TempDir() + "/sgp_sharded_" +
+    // Parameterized cases are named "<case>/<index>": keep the '/' out of
+    // the file name.
+    std::string name =
         testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    const std::string stem = testing::TempDir() + "/sgp_sharded_" + name;
     edges_path_ = stem + ".edges";
     out_path_ = stem + ".bin";
     random::Rng rng(31);
@@ -81,6 +84,29 @@ class ShardedPublishTest : public testing::Test {
     opt.threads = threads;
     opt.resume = resume;
     return publish_sharded(reader, opt, out_path_);
+  }
+
+  /// Runs with shard_rows 16 under a fault that kills the checkpoint
+  /// append after `after` records: shards [0, after) are vouched for and
+  /// shard `after`'s payload is on disk without its record.
+  void crash_at_checkpoint(std::uint64_t after,
+                           std::size_t shard_rows = 16) const {
+    util::arm_fault("io.shard.checkpoint", {.after = after, .max_fires = 1});
+    EXPECT_THROW(run(shard_rows, /*threads=*/1), util::IoError);
+    util::disarm_all_faults();
+    ASSERT_TRUE(std::filesystem::exists(out_path_ + ".ckpt"));
+  }
+
+  std::vector<std::string> ckpt_lines() const {
+    std::ifstream in(out_path_ + ".ckpt", std::ios::binary);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  }
+
+  void write_ckpt(const std::string& bytes) const {
+    std::ofstream out(out_path_ + ".ckpt", std::ios::binary | std::ios::trunc);
+    out << bytes;
   }
 
   graph::Graph graph_;
@@ -212,6 +238,55 @@ TEST_F(ShardedPublishTest, CheckpointFromOtherIdPolicyRestarts) {
   EXPECT_EQ(out_bytes(), reference_bytes());
 }
 
+// σ and Δ are part of the job record, so a checkpoint written under another
+// calibration of the same (ε, δ) must restart, not resume.
+TEST_F(ShardedPublishTest, CheckpointFromOtherCalibrationRestarts) {
+  graph::EdgeListShardReader reader(edges_path_, graph::IdPolicy::kPreserve);
+  ShardedPublishOptions opt;
+  opt.publish = publish_options();
+  opt.publish.analytic_calibration = false;
+  opt.publish.delta_split = 0.3;
+  opt.shard_rows = 16;
+  ASSERT_NE(calibrate(opt.publish).sigma, calibrate(publish_options()).sigma);
+  util::arm_fault("io.shard.checkpoint", {.after = 3, .max_fires = 1});
+  EXPECT_THROW(publish_sharded(reader, opt, out_path_), util::IoError);
+  util::disarm_all_faults();
+  ASSERT_TRUE(std::filesystem::exists(out_path_ + ".ckpt"));
+
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
+// The checkpoint is keyed on the job's config line, compared as a string:
+// its second line is exactly ShardJob::config_line() of the release.
+TEST_F(ShardedPublishTest, CheckpointCarriesTheJobConfigLine) {
+  graph::EdgeListShardReader reader(edges_path_, graph::IdPolicy::kPreserve);
+  util::arm_fault("io.shard.checkpoint", {.after = 1, .max_fires = 1});
+  EXPECT_THROW(run(/*shard_rows=*/16, /*threads=*/1), util::IoError);
+  util::disarm_all_faults();
+
+  ShardJob job;
+  job.publish = publish_options();
+  job.publish.kernel = random::resolve_normal_kernel(job.publish.kernel);
+  job.calibration = calibrate(publish_options());
+  job.plan = plan_shards(reader.num_nodes(), 16);
+  job.edge_records = reader.edge_records();
+  job.id_policy = graph::IdPolicy::kPreserve;
+
+  std::ifstream in(out_path_ + ".ckpt", std::ios::binary);
+  std::string magic;
+  std::string config;
+  ASSERT_TRUE(std::getline(in, magic) && std::getline(in, config));
+  EXPECT_EQ(magic, "sgp-shard-checkpoint v1");
+  EXPECT_EQ(config, job.config_line());
+  EXPECT_EQ(config.rfind("config nodes " +
+                             std::to_string(reader.num_nodes()) + " edges ",
+                         0),
+            0u)
+      << config;
+}
+
 TEST_F(ShardedPublishTest, ResumeDisabledStartsFresh) {
   util::arm_fault("io.shard.write", {.after = 2});
   EXPECT_THROW(run(/*shard_rows=*/16, /*threads=*/1), util::IoError);
@@ -318,6 +393,188 @@ TEST_F(ShardedPublishTest, ParsesTheEdgeListOncePerRelease) {
   obs::set_metrics_enabled(metrics_were_enabled);
 }
 
+// A bit flip in one record (its CRC no longer matches) stops the trusted
+// prefix there: the shards before it resume, the rest are recomputed.
+TEST_F(ShardedPublishTest, CorruptCheckpointRecordResumesOnlyUpToIt) {
+  crash_at_checkpoint(/*after=*/3);
+  std::vector<std::string> lines = ckpt_lines();
+  ASSERT_EQ(lines.size(), 5u);  // magic, config, shards 0..2
+  std::string& shard1 = lines[3];
+  shard1.back() = shard1.back() == '0' ? '1' : '0';
+  std::string bytes;
+  for (const std::string& line : lines) bytes += line + '\n';
+  write_ckpt(bytes);
+
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 1u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
+// A record torn mid-line (a crash inside the append) is not trusted; the
+// complete records before it are.
+TEST_F(ShardedPublishTest, TornCheckpointTailResumesTruthfulPrefix) {
+  crash_at_checkpoint(/*after=*/3);
+  const auto size = std::filesystem::file_size(out_path_ + ".ckpt");
+  std::filesystem::resize_file(out_path_ + ".ckpt", size - 6);
+
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 2u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
+TEST_F(ShardedPublishTest, CheckpointWithForeignMagicRestarts) {
+  crash_at_checkpoint(/*after=*/3);
+  std::vector<std::string> lines = ckpt_lines();
+  ASSERT_GE(lines.size(), 2u);
+  lines[0] = "sgp-shard-checkpoint v0";
+  std::string bytes;
+  for (const std::string& line : lines) bytes += line + '\n';
+  write_ckpt(bytes);
+
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
+// Shard boundaries are part of the job: the byte offsets a checkpoint
+// vouches for under one shard height mean nothing under another.
+TEST_F(ShardedPublishTest, CheckpointFromOtherShardHeightRestarts) {
+  crash_at_checkpoint(/*after=*/3, /*shard_rows=*/16);
+  const ShardedPublishResult result = run(/*shard_rows=*/8, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
+TEST_F(ShardedPublishTest, CheckpointFromOtherDimensionRestarts) {
+  graph::EdgeListShardReader reader(edges_path_, graph::IdPolicy::kPreserve);
+  ShardedPublishOptions opt;
+  opt.publish = publish_options();
+  opt.publish.projection_dim = 8;
+  opt.shard_rows = 16;
+  util::arm_fault("io.shard.checkpoint", {.after = 3, .max_fires = 1});
+  EXPECT_THROW(publish_sharded(reader, opt, out_path_), util::IoError);
+  util::disarm_all_faults();
+  ASSERT_TRUE(std::filesystem::exists(out_path_ + ".ckpt"));
+
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
+TEST_F(ShardedPublishTest, CheckpointFromOtherProjectionKindRestarts) {
+  graph::EdgeListShardReader reader(edges_path_, graph::IdPolicy::kPreserve);
+  ShardedPublishOptions opt;
+  opt.publish = publish_options();
+  opt.publish.projection = ProjectionKind::kAchlioptas;
+  opt.shard_rows = 16;
+  util::arm_fault("io.shard.checkpoint", {.after = 3, .max_fires = 1});
+  EXPECT_THROW(publish_sharded(reader, opt, out_path_), util::IoError);
+  util::disarm_all_faults();
+  ASSERT_TRUE(std::filesystem::exists(out_path_ + ".ckpt"));
+
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
+// The job records the scanned file's node and edge-record counts, so a
+// checkpoint left by a release of another edge list restarts.
+TEST_F(ShardedPublishTest, CheckpointFromOtherEdgeFileRestarts) {
+  crash_at_checkpoint(/*after=*/3);
+  const std::size_t old_records =
+      graph::EdgeListShardReader(edges_path_, graph::IdPolicy::kPreserve)
+          .edge_records();
+  random::Rng rng(32);
+  graph::write_edge_list_file(graph::erdos_renyi(90, 0.12, rng), edges_path_);
+  ASSERT_NE(
+      graph::EdgeListShardReader(edges_path_, graph::IdPolicy::kPreserve)
+          .edge_records(),
+      old_records);
+
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
+// The thread count is not part of the job: rows are pure functions of
+// (seed, counter), so a run crashed on one thread resumes on three.
+TEST_F(ShardedPublishTest, ResumeUnderOtherThreadCountKeepsBytes) {
+  crash_at_checkpoint(/*after=*/2);
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/3);
+  EXPECT_EQ(result.shards_resumed, 2u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
+// Bytes past the last vouched-for shard — here junk appended after the
+// crash — are cut off before the resumed shards are appended.
+TEST_F(ShardedPublishTest, TrailingBytesPastTheCheckpointAreCutOff) {
+  crash_at_checkpoint(/*after=*/2);
+  {
+    std::ofstream out(out_path_, std::ios::binary | std::ios::app);
+    out << std::string(1000, '\x5a');
+  }
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 2u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
+TEST_F(ShardedPublishTest, MissingReleaseFileInvalidatesCheckpoint) {
+  crash_at_checkpoint(/*after=*/2);
+  std::filesystem::remove(out_path_);
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
+// Each rerun resumes from where the previous crash left the log, so a
+// release killed twice still completes to the reference bytes.
+TEST_F(ShardedPublishTest, RepeatedCrashesResumeStepByStep) {
+  crash_at_checkpoint(/*after=*/2);
+  util::arm_fault("io.shard.checkpoint", {.after = 2, .max_fires = 1});
+  EXPECT_THROW(run(/*shard_rows=*/16, /*threads=*/1), util::IoError);
+  util::disarm_all_faults();
+  EXPECT_EQ(ckpt_lines().size(), 2u + 4u);  // magic, config, shards 0..3
+
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 4u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+  EXPECT_FALSE(std::filesystem::exists(out_path_ + ".ckpt"));
+}
+
+// Shard loads are idempotent, so io_retry rides out transient read faults
+// without changing a byte, and counts each retry.
+TEST_F(ShardedPublishTest, ShardReadRetriesTransientFaults) {
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& retries = obs::counter(obs::names::kRetryAttempts);
+  const std::uint64_t before = retries.value();
+  util::arm_fault("io.shard.read", {.after = 1, .max_fires = 2});
+
+  graph::EdgeListShardReader reader(edges_path_, graph::IdPolicy::kPreserve);
+  ShardedPublishOptions opt;
+  opt.publish = publish_options();
+  opt.shard_rows = 16;
+  opt.io_retry = {.max_attempts = 3, .initial_backoff_seconds = 0.0};
+  const ShardedPublishResult result = publish_sharded(reader, opt, out_path_);
+  util::disarm_all_faults();
+  EXPECT_EQ(result.shards_resumed, 0u);
+  EXPECT_EQ(retries.value() - before, 2u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+  obs::set_metrics_enabled(metrics_were_enabled);
+}
+
+// Under the default single-attempt policy a read fault fails the release,
+// and the shards already checkpointed resume on the next run.
+TEST_F(ShardedPublishTest, ShardReadFaultFailsFastThenResumes) {
+  util::arm_fault("io.shard.read", {.after = 2, .max_fires = 1});
+  EXPECT_THROW(run(/*shard_rows=*/16, /*threads=*/1), util::IoError);
+  util::disarm_all_faults();
+
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/1);
+  EXPECT_EQ(result.shards_resumed, 2u);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+}
+
 TEST_F(ShardedPublishTest, RejectsBadDimensions) {
   graph::EdgeListShardReader reader(edges_path_, graph::IdPolicy::kPreserve);
   ShardedPublishOptions opt;
@@ -326,6 +583,28 @@ TEST_F(ShardedPublishTest, RejectsBadDimensions) {
   EXPECT_THROW(publish_sharded(reader, opt, out_path_),
                util::PreconditionError);
 }
+
+// A crash at every shard boundary: the checkpoint append for shard k is
+// killed, so exactly k shards resume and the release still equals the
+// reference bytes.
+class ShardBoundaryCrashTest
+    : public ShardedPublishTest,
+      public testing::WithParamInterface<std::uint64_t> {};
+
+TEST_P(ShardBoundaryCrashTest, ResumesExactlyTheVouchedShards) {
+  const std::uint64_t k = GetParam();
+  ASSERT_LT(k, plan_shards(graph_.num_nodes(), 16).num_shards());
+  crash_at_checkpoint(/*after=*/k);
+  EXPECT_EQ(ckpt_lines().size(), 2u + k);
+
+  const ShardedPublishResult result = run(/*shard_rows=*/16, /*threads=*/2);
+  EXPECT_EQ(result.shards_resumed, k);
+  EXPECT_EQ(out_bytes(), reference_bytes());
+  EXPECT_FALSE(std::filesystem::exists(out_path_ + ".ckpt"));
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryShard, ShardBoundaryCrashTest,
+                         testing::Range<std::uint64_t>(0, 6));
 
 }  // namespace
 }  // namespace sgp::core

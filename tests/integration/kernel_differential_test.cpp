@@ -21,7 +21,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/distributed_publish.hpp"
 #include "core/publisher.hpp"
 #include "core/reconstruction.hpp"
 #include "core/serialization.hpp"
@@ -100,25 +99,6 @@ class KernelDifferentialTest : public testing::Test {
     return buf.str();
   }
 
-  // The coordinator path: publish_distributed writes the release header
-  // itself (workers only produce shard payloads), so it must resolve the
-  // rng tag from the kernel exactly like every other writer. workers=1
-  // runs the shards in the coordinator process — no worker binary needed.
-  std::string distributed_bytes(const RandomProjectionPublisher::Options& opt,
-                                std::size_t shard_rows) const {
-    graph::EdgeListShardReader reader(edges_path_, graph::IdPolicy::kPreserve);
-    DistributedPublishOptions dopt;
-    dopt.sharded.publish = opt;
-    dopt.sharded.shard_rows = shard_rows;
-    dopt.sharded.resume = false;
-    dopt.workers = 1;
-    publish_distributed(reader, dopt, out_path_);
-    std::ifstream in(out_path_, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  }
-
   graph::Graph graph_;
   std::string edges_path_;
   std::string out_path_;
@@ -138,11 +118,6 @@ TEST_F(KernelDifferentialTest, AllPathsAgreePerVariantAcrossShardsAndThreads) {
           << "cell " << SGP_PICK_LABEL(cell) << ", kernel "
           << SGP_PICK_LABEL(kernel);
     }
-    // Regression: the coordinator once hardcoded kCounterV1 into the header
-    // it assembles, so distributed releases under a polynomial kernel
-    // carried the wrong tag (and would regenerate the wrong P).
-    EXPECT_EQ(distributed_bytes(opt, 16), reference)
-        << "distributed, kernel " << SGP_PICK_LABEL(kernel);
   }
 }
 

@@ -1,9 +1,13 @@
 // Exporter golden tests. This suite is its own test binary on purpose: the
 // metrics registry is process-global and append-only, so exact-output tests
 // are only deterministic when every test in the process registers the same
-// fixed set of metrics (alpha.count / beta.level / gamma.seconds).
+// fixed set of metrics (alpha.count / beta.level / gamma.seconds). The
+// Prometheus edge cases at the end register their own names and assert
+// with find(), so they are declared after the goldens (and ctest runs each
+// case in its own process anyway).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -159,6 +163,70 @@ TEST_F(ExportTest, TraceTextTreeIndentsChildren) {
   ASSERT_NE(inner_pos, std::string::npos);
   EXPECT_LT(outer_pos, inner_pos);
   EXPECT_NE(text.find("k=v"), std::string::npos);
+}
+
+/// Prometheus exporter edge cases. Runs against the live process registry,
+/// so names are namespaced and values asserted via find().
+class PrometheusEdgeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    sgp::obs::set_metrics_enabled(true);
+    sgp::obs::reset_all_metrics();
+  }
+  void TearDown() override {
+    sgp::obs::reset_all_metrics();
+    sgp::obs::set_metrics_enabled(false);
+  }
+  static std::string render() {
+    std::ostringstream out;
+    sgp::obs::write_metrics_prometheus(out);
+    return out.str();
+  }
+};
+
+TEST_F(PrometheusEdgeTest, NonAlnumCharactersEscapeToUnderscore) {
+  sgp::obs::counter("test.prom-edge.weird").add(4);
+  const std::string text = render();
+  EXPECT_NE(text.find("# TYPE sgp_test_prom_edge_weird counter\n"
+                      "sgp_test_prom_edge_weird 4\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST_F(PrometheusEdgeTest, HistogramBucketsAreCumulativeUpToInf) {
+  auto& h = sgp::obs::histogram("test.prom.cumulative.seconds");
+  h.record(1e-6);  // lowest bucket
+  h.record(0.5);
+  h.record(1e9);  // beyond the largest finite bound: +Inf bucket
+  const std::string text = render();
+
+  // Every bucket line's count is monotone non-decreasing and the +Inf line
+  // equals _count.
+  const std::string bucket_prefix =
+      "sgp_test_prom_cumulative_seconds_bucket{le=\"";
+  double last = -1.0;
+  std::size_t lines = 0;
+  std::size_t at = 0;
+  while ((at = text.find(bucket_prefix, at)) != std::string::npos) {
+    const std::size_t value_at = text.find("} ", at);
+    ASSERT_NE(value_at, std::string::npos);
+    const double value = std::strtod(text.c_str() + value_at + 2, nullptr);
+    EXPECT_GE(value, last);
+    last = value;
+    ++lines;
+    at = value_at;
+  }
+  EXPECT_EQ(lines, sgp::obs::Histogram::kBuckets);
+  EXPECT_NE(text.find("_bucket{le=\"+Inf\"} 3\n"), std::string::npos);
+  EXPECT_NE(text.find("sgp_test_prom_cumulative_seconds_count 3\n"),
+            std::string::npos);
+}
+
+TEST_F(PrometheusEdgeTest, EmptyRegistrySectionsRenderNothing) {
+  // A freshly reset registry may still carry earlier tests' names, so
+  // assert on a definitely-absent name rather than emptiness.
+  const std::string text = render();
+  EXPECT_EQ(text.find("sgp_test_prom_never_registered"), std::string::npos);
 }
 
 }  // namespace

@@ -36,14 +36,6 @@ TEST(MigrationPins, SlowShardThreadMatrixKeepsTwelveCells) {
   EXPECT_EQ(threads, (std::vector<std::size_t>{1, 2, 8}));
 }
 
-TEST(MigrationPins, SlowWorkerAxisKeepsThreeCells) {
-  std::vector<std::size_t> workers;
-  for (const auto& o : sgp_axis_diff_workers().options) {
-    workers.push_back(o.value);
-  }
-  EXPECT_EQ(workers, (std::vector<std::size_t>{1, 2, 4}));
-}
-
 TEST(MigrationPins, SlowKernelMatrixKeepsTwentyFourCells) {
   // Variants {scalar, generic, avx2, avx512} × shard heights {7, 64, 700} ×
   // threads {1, 8}.

@@ -43,12 +43,6 @@ SGP_PARAMETERIZE(diff_threads, std::size_t, threads,
     SGP_OPTION(threads, 8);
 )
 
-SGP_PARAMETERIZE(diff_workers, std::size_t, workers,
-    SGP_OPTION(workers, 1);
-    SGP_OPTION(workers, 2);
-    SGP_OPTION(workers, 4);
-)
-
 // Kernel axis of the slow matrix: every variant crossed with shard height ×
 // thread count. Unsupported variants skip at runtime; the axis still lists
 // them so the coverage contract is machine-checkable.

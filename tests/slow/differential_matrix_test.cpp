@@ -17,7 +17,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/distributed_publish.hpp"
 #include "core/serialization.hpp"
 #include "core/sharded_publish.hpp"
 #include "graph/generators.hpp"
@@ -84,41 +83,6 @@ TEST(DifferentialMatrix, ShardedBytesEqualInMemoryReference) {
     EXPECT_EQ(file_bytes(out_path), reference)
         << "byte drift at shard_rows=" << SGP_PICK_LABEL(shard_rows)
         << " threads=" << SGP_PICK_LABEL(threads);
-    std::remove(out_path.c_str());
-  }
-  std::remove(edges_path.c_str());
-}
-
-// Process axis of the matrix: the distributed coordinator/worker path over
-// {1, 2, 4} worker processes must stay byte-identical to the in-memory
-// reference on the same graph. Worker processes are real sgp_publish
-// children (SGP_PUBLISH_BIN), so this also exercises the lease protocol at
-// a size where every worker owns many shards.
-TEST(DifferentialMatrix, DistributedBytesEqualInMemoryReference) {
-  const std::string edges_path =
-      testing::TempDir() + "/sgp_diff_dist.edges";
-  const graph::Graph g = matrix_graph();
-  graph::write_edge_list_file(g, edges_path);
-  std::ostringstream ref(std::ios::binary);
-  test::reference_publish(g, publish_options(), ref);
-
-  std::size_t workers = 0;
-  SGP_PICK(diff_workers, workers) {
-    const std::string out_path = testing::TempDir() + "/sgp_diff_dist_p" +
-                                 std::to_string(workers) + ".bin";
-    graph::EdgeListShardReader reader(edges_path, graph::IdPolicy::kPreserve);
-    DistributedPublishOptions opt;
-    opt.sharded.publish = publish_options();
-    opt.sharded.shard_rows = 64;
-    opt.sharded.threads = 2;
-    opt.workers = workers;
-    opt.worker_program = SGP_PUBLISH_BIN;
-    const DistributedPublishResult result =
-        publish_distributed(reader, opt, out_path);
-    EXPECT_EQ(result.num_nodes, kNodes);
-    EXPECT_EQ(result.workers_lost, 0u);
-    EXPECT_EQ(file_bytes(out_path), ref.str())
-        << "byte drift at workers=" << SGP_PICK_LABEL(workers);
     std::remove(out_path.c_str());
   }
   std::remove(edges_path.c_str());

@@ -12,17 +12,19 @@
 #                      (suppressions in tools/suppressions/)
 #   5. TSan            thread-labeled suites via tools/run_tsan.sh
 #   6. chaos suites    `ctest -L chaos`: process-level fault injection —
-#                      worker kills, lease reclaim, ledger exactly-once
+#                      sgp_publish crashed mid-release, checkpoint resume
+#                      to the golden bytes, ledger exactly-once
 #                      (docs/robustness.md); also part of the default run,
 #                      repeated here as its own gate
 #   7. slow suites     `ctest -C slow -L slow`: the full shard×thread×
-#                      process differential matrix and deep statistical
+#                      kernel differential matrix and deep statistical
 #                      tests (docs/scaling.md) that the default ctest run
 #                      skips
-#   8. obs plane       a distributed publish with --metrics-out, then the
-#                      merged v2 report through sgp_bench_check and
+#   8. obs plane       a traced --shard-rows publish with --metrics-out,
+#                      then the v1 report through sgp_bench_check and
 #                      sgp_trace (--chrome / --validate-chrome / --summary)
-#                      end to end (docs/observability.md)
+#                      end to end, requiring publish.shard spans in the
+#                      Chrome file (docs/observability.md)
 #   9. kernel diff     scalar-vs-vectorized differential: the simd-labeled
 #                      suites (per-variant byte equality across publish
 #                      paths) plus an end-to-end SGP_FORCE_KERNEL sweep of
@@ -160,7 +162,7 @@ else
 fi
 
 # --- 8. obs plane -----------------------------------------------------------
-note "observability plane (merged v2 report + sgp_trace)"
+note "observability plane (v1 report + sgp_trace)"
 cmake --build build -j --target sgp_publish sgp_trace sgp_bench_check \
   sgp_generate >/dev/null
 obs_dir="$(mktemp -d)"
@@ -169,12 +171,20 @@ obs_ok=1
 ./build/tools/sgp_generate --model ba --nodes 200 --out "${obs_dir}/g.edges" \
   >/dev/null 2>&1 || obs_ok=0
 ./build/tools/sgp_publish --edges "${obs_dir}/g.edges" --out "${obs_dir}/r.bin" \
-  --dim 16 --seed 7 --shard-rows 32 --workers 2 \
-  --metrics-out "${obs_dir}/merged.json" >/dev/null 2>&1 || obs_ok=0
-./build/tools/sgp_bench_check "${obs_dir}/merged.json" || obs_ok=0
-./build/tools/sgp_trace --report "${obs_dir}/merged.json" \
+  --dim 16 --seed 7 --shard-rows 32 --trace \
+  --metrics-out "${obs_dir}/report.json" >/dev/null 2>&1 || obs_ok=0
+./build/tools/sgp_bench_check "${obs_dir}/report.json" || obs_ok=0
+./build/tools/sgp_trace --report "${obs_dir}/report.json" \
   --chrome "${obs_dir}/chrome.json" --summary >/dev/null || obs_ok=0
 ./build/tools/sgp_trace --validate-chrome "${obs_dir}/chrome.json" || obs_ok=0
+# The timeline must show the shards: at least one publish.shard complete
+# ("X") event.
+python3 - "${obs_dir}/chrome.json" <<'PY' || obs_ok=0
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+if not any(e["name"] == "publish.shard" and e["ph"] == "X" for e in events):
+    sys.exit("chrome trace holds no publish.shard X event")
+PY
 if [[ "${obs_ok}" == "1" ]]; then
   echo "obs plane: clean"
 else

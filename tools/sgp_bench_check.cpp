@@ -1,7 +1,6 @@
 // sgp_bench_check — validates BENCH_*.json / --metrics-out files against the
-// observability report schemas: "sgp-obs-report v1" (obs/report.hpp) and the
-// merged cross-process "sgp-obs-report v2" (obs/aggregate.hpp), dispatched
-// on each document's "schema" string.
+// observability report schema "sgp-obs-report v1" (obs/report.hpp), plus
+// the per-experiment metadata contracts below.
 //
 //   sgp_bench_check BENCH_E2.json [BENCH_E7.json ...]
 //
@@ -14,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/aggregate.hpp"
 #include "obs/report.hpp"
 #include "tool_common.hpp"
 #include "util/errors.hpp"
@@ -72,12 +70,12 @@ void check_e7_meta(const std::string& path, const sgp::util::JsonValue& doc) {
 
 // BENCH_E13 records the out-of-core configuration: the shard height the
 // memory claim is made for, the observed peak RSS, and the widest thread
-// and worker-process counts the byte-identity sweeps covered. CI fails on
+// count the byte-identity sweep covered. CI fails on
 // any drift so the scaling docs always have trustworthy numbers to cite.
 void check_e13_meta(const std::string& path, const sgp::util::JsonValue& doc) {
   const sgp::util::JsonValue* meta = doc.find("meta");
   for (const char* key :
-       {"nodes", "m", "shard_rows", "peak_rss_mb", "threads", "processes"}) {
+       {"nodes", "m", "shard_rows", "peak_rss_mb", "threads"}) {
     if (meta->find(key) == nullptr) {
       throw sgp::util::ParseError(path + ": E13 meta missing '" +
                                   std::string(key) + "'");
@@ -95,23 +93,6 @@ void check_e13_meta(const std::string& path, const sgp::util::JsonValue& doc) {
   const sgp::util::JsonValue* threads = meta->find("threads");
   if (!threads->is_number() || threads->as_number() < 1.0) {
     throw sgp::util::ParseError(path + ": E13 meta.threads must be >= 1");
-  }
-  const sgp::util::JsonValue* processes = meta->find("processes");
-  if (!processes->is_number() || processes->as_number() < 1.0) {
-    throw sgp::util::ParseError(path + ": E13 meta.processes must be >= 1");
-  }
-  // The distributed bench must say which observability schema its
-  // per-process metrics were merged under, so consumers know whether
-  // gauges carry the per-process "processes" map.
-  const sgp::util::JsonValue* obs_schema = meta->find("obs_schema");
-  if (obs_schema == nullptr) {
-    throw sgp::util::ParseError(path + ": E13 meta missing 'obs_schema'");
-  }
-  if (!obs_schema->is_string() ||
-      (obs_schema->as_string() != "sgp-obs-report v1" &&
-       obs_schema->as_string() != "sgp-obs-report v2")) {
-    throw sgp::util::ParseError(
-        path + ": E13 meta.obs_schema must name a known report schema");
   }
   check_kernel_variant(path, "E13", *meta);
 }
@@ -220,20 +201,11 @@ void check_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   const sgp::util::JsonValue doc = sgp::util::parse_json(buf.str());
-  // Dispatch on the self-declared schema: v2 documents are the merged
-  // cross-process reports; everything else takes the v1 validator (which
-  // rejects unknown schema strings with a useful message).
-  const sgp::util::JsonValue* schema = doc.find("schema");
-  const bool v2 = schema != nullptr && schema->is_string() &&
-                  schema->as_string() == sgp::obs::kReportV2Schema;
-  if (v2) {
-    if (const auto err = sgp::obs::validate_report_v2_json(doc)) {
-      throw sgp::util::ParseError(path + ": " + *err);
-    }
-  } else if (const auto err = sgp::obs::validate_report_json(doc)) {
+  // The validator rejects unknown schema strings with a useful message and
+  // guarantees a string "id" and object "meta".
+  if (const auto err = sgp::obs::validate_report_json(doc)) {
     throw sgp::util::ParseError(path + ": " + *err);
   }
-  // Both validators guarantee a string "id" and object "meta".
   if (doc.find("id")->as_string() == "E7") {
     check_e7_meta(path, doc);
   }

@@ -5,14 +5,14 @@
 //               [--projection gaussian|achlioptas] [--seed 7] [--streaming]
 //               [--kernel auto|scalar|generic|avx2|avx512]
 //               [--shard-rows R | --max-memory-mb MB] [--threads T]
-//               [--no-resume]
+//               [--no-resume] [--io-attempts K]
 //               [--ledger budget.ledger --budget-epsilon 10 --budget-delta 1e-5]
 //               [--metrics-out metrics.json [--metrics-format prometheus]]
 //               [--trace]
 //
-// --streaming is an alias for the out-of-core path below with the shard
-// height --workers would use for one worker (4 shards): the graph is never
-// materialized and the output bytes are identical either way.
+// --streaming is an alias for the out-of-core path below with a shard
+// height of ceil(n/4) (4 shards): the graph is never materialized and the
+// output bytes are identical either way.
 //
 // --kernel selects the value-generation kernel (docs/scaling.md). The
 // default ("auto") honours SGP_FORCE_KERNEL and otherwise stays on the
@@ -36,24 +36,14 @@
 // tool refuses with exit code 4 and publishes nothing. See
 // docs/robustness.md for the ledger format and recovery semantics.
 //
-// With --workers N the out-of-core publication is distributed over N worker
-// *processes* coordinated through a durable lease file — workers that
-// crash, are killed, or go silent are reclaimed and their shards reassigned
-// (or computed in-process as the last resort), and the release is still
-// byte-identical to every other path. --lease-timeout bounds how long a
-// silent worker is trusted; --worker-fault-spec arms an SGP_FAULT_SPEC in
-// worker slot 0 only (the chaos hook — docs/robustness.md). The hidden
-// --worker flag is the child-process entry point and not for interactive
-// use: each worker gets the release's shard job as one CRC-framed
-// `--config` record (core::ShardJob) and publishes from it alone, without
-// re-reading the publish flags or recalibrating. Architecture, worker
-// command line and record formats: docs/scaling.md.
+// Parallelism is threads inside one process (--threads). The removed
+// multi-process flags (--workers, --lease-timeout, --worker-fault-spec and
+// the hidden --worker) are refused with a usage error rather than ignored,
+// since ignoring --workers would silently publish in memory.
 #include <cstdio>
 #include <filesystem>
 #include <optional>
-#include <stdexcept>
 
-#include "core/distributed_publish.hpp"
 #include "core/serialization.hpp"
 #include "core/session.hpp"
 #include "core/sharded_publish.hpp"
@@ -66,21 +56,19 @@
 #include "util/cli.hpp"
 #include "util/errors.hpp"
 
-namespace {
-
-/// Path of the running binary, for re-invoking ourselves as workers.
-/// /proc/self/exe survives $PATH lookups and directory changes; argv[0] is
-/// the fallback where procfs is unavailable.
-std::string self_program(const sgp::util::CliArgs& args) {
-  std::error_code ec;
-  const auto exe = std::filesystem::read_symlink("/proc/self/exe", ec);
-  return ec ? args.program() : exe.string();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const sgp::util::CliArgs args(argc, argv);
+  for (const char* removed :
+       {"workers", "lease-timeout", "worker-fault-spec", "worker"}) {
+    if (args.has(removed)) {
+      std::fprintf(stderr,
+                   "usage error: --%s was removed with the multi-process "
+                   "publish; publish out of core with --shard-rows R (or "
+                   "--max-memory-mb MB) and in parallel with --threads T\n",
+                   removed);
+      return sgp::tools::kExitUsage;
+    }
+  }
   const std::string edges_path = args.get_string("edges", "");
   const std::string out_path = args.get_string("out", "release.bin");
   if (edges_path.empty()) {
@@ -90,22 +78,14 @@ int main(int argc, char** argv) {
                  "[--projection gaussian|achlioptas] [--seed S] "
                  "[--kernel auto|scalar|generic|avx2|avx512] "
                  "[--streaming] [--shard-rows R | --max-memory-mb MB] "
-                 "[--threads T] [--no-resume] "
-                 "[--workers N [--lease-timeout S] [--worker-fault-spec F]] "
-                 "[--io-attempts K] [--ledger budget.ledger "
+                 "[--threads T] [--no-resume] [--io-attempts K] "
+                 "[--ledger budget.ledger "
                  "--budget-epsilon E --budget-delta D] "
                  "[--metrics-out metrics.json] [--trace]\n",
                  args.program().c_str());
     return sgp::tools::kExitUsage;
   }
   sgp::tools::ObsScope obs_scope(args, "sgp_publish");
-
-  // Hidden child-process mode: the distributed coordinator re-invokes this
-  // binary with --worker plus its shard assignment (docs/scaling.md).
-  if (args.get_bool("worker", false)) {
-    return sgp::tools::run_tool(
-        [&]() -> int { return sgp::core::run_publish_worker(args); });
-  }
 
   return sgp::tools::run_tool([&]() -> int {
     const auto policy = args.get_bool("preserve-ids", false)
@@ -139,15 +119,12 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_int("shard-rows", 0));
     const auto max_memory_mb =
         static_cast<std::size_t>(args.get_int("max-memory-mb", 0));
-    const auto workers_flag =
-        static_cast<std::size_t>(args.get_int("workers", 0));
-    if (shard_rows_flag > 0 || max_memory_mb > 0 || workers_flag > 0 ||
+    if (shard_rows_flag > 0 || max_memory_mb > 0 ||
         args.get_bool("streaming", false)) {
       // Out-of-core path: the graph is never materialized — the reader
       // parses the file once, spilling the resolved edges (8 bytes per
       // edge record) to an anonymous temporary file, and each row shard is
-      // built from that spill for publish_sharded (or for the worker
-      // processes under --workers, each of which parses the file once).
+      // built from that spill for publish_sharded.
       sgp::obs::ScopedTimer scan_timer(sgp::obs::names::kToolLoadGraph);
       sgp::graph::EdgeListShardReader reader(edges_path, policy);
       std::fprintf(stderr, "scanned %zu nodes / %zu edge records in %.2fs\n",
@@ -163,28 +140,23 @@ int main(int argc, char** argv) {
         shard_opt.shard_rows = sgp::core::shard_rows_for_memory(
             max_memory_mb, opt.projection_dim);
       } else {
-        // --workers alone (--streaming: as one worker): ~4 shards per
-        // worker keeps the reassignment granularity fine enough that losing
-        // a worker loses little work.
-        const std::size_t shards =
-            4 * std::max<std::size_t>(workers_flag, 1);
+        // --streaming: 4 shards, so one shard's tile is a quarter of the
+        // in-memory release.
+        constexpr std::size_t kStreamingShards = 4;
         shard_opt.shard_rows = std::max<std::size_t>(
-            1, (reader.num_nodes() + shards - 1) / shards);
+            1, (reader.num_nodes() + kStreamingShards - 1) / kStreamingShards);
       }
       shard_opt.threads =
           static_cast<std::size_t>(args.get_int("threads", 0));
       shard_opt.resume = !args.get_bool("no-resume", false);
-      // Distributed runs default to riding out transient shard-IO
-      // failures; the single-process path stays fail-fast unless asked.
-      shard_opt.io_retry.max_attempts = static_cast<std::size_t>(
-          args.get_int("io-attempts", workers_flag > 0 ? 3 : 1));
+      // Fail-fast on shard-IO errors unless asked to retry.
+      shard_opt.io_retry.max_attempts =
+          static_cast<std::size_t>(args.get_int("io-attempts", 1));
 
-      // A leftover checkpoint or lease file means the last charged release
-      // never finished: finish it under its original (already-paid)
-      // options instead of charging the budget a second time.
-      const bool unfinished =
-          std::filesystem::exists(out_path + ".ckpt") ||
-          std::filesystem::exists(out_path + ".lease");
+      // A leftover checkpoint means the last charged release never
+      // finished: finish it under its original (already-paid) options
+      // instead of charging the budget a second time.
+      const bool unfinished = std::filesystem::exists(out_path + ".ckpt");
       std::optional<sgp::core::PublishingSession> session;
       if (!ledger_path.empty()) {
         session.emplace(sopt, ledger_path);
@@ -195,47 +167,15 @@ int main(int argc, char** argv) {
                         : session->begin_release();
       }
 
-      if (workers_flag > 0) {
-        sgp::core::DistributedPublishOptions dopt;
-        dopt.sharded = shard_opt;
-        dopt.workers = workers_flag;
-        dopt.worker_program = self_program(args);
-        dopt.lease_timeout_seconds = args.get_double("lease-timeout", 30.0);
-        const std::string worker_spec =
-            args.get_string("worker-fault-spec", "");
-        if (!worker_spec.empty()) {
-          dopt.worker_env[0] = {{"SGP_FAULT_SPEC", worker_spec}};
-        }
-        if (obs_scope.metrics_on()) {
-          // Cross-process plane: per-process sidecars under this prefix,
-          // merged into one "sgp-obs-report v2" when obs_scope closes.
-          dopt.obs_sidecar_prefix = out_path + ".obs.";
-        }
-        const auto result =
-            sgp::core::publish_distributed(reader, dopt, out_path);
-        if (!result.trace_id.empty()) {
-          obs_scope.set_distributed_merge(dopt.obs_sidecar_prefix,
-                                          result.trace_id);
-        }
-        std::fprintf(
-            stderr,
-            "published %s: %zu shards over %zu workers spawned (%zu lost, "
-            "%zu leases reclaimed, %zu in-process, %zu resumed) in %.2fs\n",
-            out_path.c_str(), result.shards_total, result.workers_spawned,
-            result.workers_lost, result.leases_reclaimed,
-            result.shards_inprocess, result.shards_resumed,
-            publish_timer.stop());
-      } else {
-        const auto result =
-            sgp::core::publish_sharded(reader, shard_opt, out_path);
-        std::fprintf(stderr,
-                     "published %s: %zu shards of %zu rows (%zu resumed) "
-                     "under %s in %.2fs\n",
-                     out_path.c_str(), result.shards_total,
-                     shard_opt.shard_rows, result.shards_resumed,
-                     shard_opt.publish.params.to_string().c_str(),
-                     publish_timer.stop());
-      }
+      const auto result =
+          sgp::core::publish_sharded(reader, shard_opt, out_path);
+      std::fprintf(stderr,
+                   "published %s: %zu shards of %zu rows (%zu resumed) "
+                   "under %s in %.2fs\n",
+                   out_path.c_str(), result.shards_total,
+                   shard_opt.shard_rows, result.shards_resumed,
+                   shard_opt.publish.params.to_string().c_str(),
+                   publish_timer.stop());
       if (session) {
         std::fprintf(stderr, "session now at %s (%.3f epsilon left)\n",
                      session->spent().to_string().c_str(),

@@ -1,21 +1,18 @@
-// sgp_trace — timeline inspection for merged observability reports.
+// sgp_trace — timeline inspection for observability reports.
 //
-//   sgp_trace --report merged-report.json [--chrome trace.json] [--summary]
+//   sgp_trace --report metrics.json [--chrome trace.json] [--summary]
 //   sgp_trace --validate-chrome trace.json
 //
-// Reads an "sgp-obs-report v2" document — the merged cross-process report a
-// distributed `sgp_publish --workers N --metrics-out` writes — validates it
-// against the schema (obs/aggregate.hpp), and renders:
+// Reads the "sgp-obs-report v1" document any sgp_* tool writes with
+// --metrics-out, validates it against the schema (obs/report.hpp), and
+// renders:
 //
 //   --chrome <path>   Chrome trace-event / Perfetto-compatible JSON: spans
-//                     as complete ("X") events laned by pid/thread,
-//                     lifecycle events as instants, resource samples as
-//                     counter tracks. Load in chrome://tracing or
-//                     ui.perfetto.dev.
-//   --summary         human-readable timeline on stdout: per-process
-//                     inventory, a per-shard Gantt chart, lease reclaim
-//                     gaps (reclaim -> recommit), and the critical path
-//                     through the span tree.
+//                     as complete ("X") events laned by thread, lifecycle
+//                     events as instants, resource samples as counter
+//                     tracks. Load in chrome://tracing or ui.perfetto.dev.
+//   --summary         human-readable timeline on stdout: a per-shard Gantt
+//                     chart and the critical path through the span tree.
 //
 // With neither flag the report is validated and acknowledged — the
 // schema-check mode CI uses. --validate-chrome structurally checks a Chrome
@@ -27,7 +24,7 @@
 #include <sstream>
 #include <string>
 
-#include "obs/aggregate.hpp"
+#include "obs/report.hpp"
 #include "tool_common.hpp"
 #include "util/errors.hpp"
 #include "util/json.hpp"
@@ -52,7 +49,7 @@ int main(int argc, char** argv) {
   const std::string validate_chrome = args.get_string("validate-chrome", "");
   if (report_path.empty() && validate_chrome.empty()) {
     std::fprintf(stderr,
-                 "usage: %s --report merged-report.json "
+                 "usage: %s --report metrics.json "
                  "[--chrome trace.json] [--summary]\n"
                  "       %s --validate-chrome trace.json\n",
                  args.program().c_str(), args.program().c_str());
@@ -69,7 +66,7 @@ int main(int argc, char** argv) {
     }
 
     const sgp::util::JsonValue report = parse_file(report_path);
-    if (const auto err = sgp::obs::validate_report_v2_json(report)) {
+    if (const auto err = sgp::obs::validate_report_json(report)) {
       throw sgp::util::ParseError(report_path + ": " + *err);
     }
 

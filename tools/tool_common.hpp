@@ -15,7 +15,8 @@
 // Observability flags shared by every tool (see docs/observability.md):
 //
 //   --metrics-out <path>   enable metrics and write an obs::Report JSON
-//                          (counters, histograms, phases, spans) on exit —
+//                          (counters, histograms, phases, spans, events) on
+//                          exit —
 //                          also on error exits, so failed runs are
 //                          diagnosable
 //   --metrics-format prometheus   write the Prometheus text format instead
@@ -31,7 +32,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/aggregate.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -72,24 +72,22 @@ class ObsScope {
       for (std::string_view name :
            {obs::names::kPublishReleases, obs::names::kPublishEmbeds,
             obs::names::kPublishShards, obs::names::kPublishShardsResumed,
-            obs::names::kPublishLeasesReclaimed, obs::names::kRetryAttempts,
-            obs::names::kLedgerAppends, obs::names::kLedgerAppendAttempts,
-            obs::names::kLedgerRecoveries, obs::names::kLedgerCrcFailures,
-            obs::names::kFaultTrips, obs::names::kObsEvents,
-            obs::names::kProcSamples}) {
+            obs::names::kRetryAttempts, obs::names::kLedgerAppends,
+            obs::names::kLedgerAppendAttempts, obs::names::kLedgerRecoveries,
+            obs::names::kLedgerCrcFailures, obs::names::kFaultTrips,
+            obs::names::kObsEvents, obs::names::kProcSamples}) {
         obs::counter(name);
       }
       for (std::string_view base :
            {obs::names::kPublishProject, obs::names::kPublishPerturb,
-            obs::names::kPublishEmbed, obs::names::kPublishShard,
-            obs::names::kPublishDistributed}) {
+            obs::names::kPublishEmbed, obs::names::kPublishShard}) {
         obs::histogram(std::string(base) + ".seconds");
       }
       obs::histogram(obs::names::kLedgerAppendSeconds);
       for (std::string_view name :
-           {obs::names::kPublishWorkers, obs::names::kProcRssMb,
-            obs::names::kProcPeakRssMb, obs::names::kProcUtimeSeconds,
-            obs::names::kProcStimeSeconds, obs::names::kProcOpenFds}) {
+           {obs::names::kProcRssMb, obs::names::kProcPeakRssMb,
+            obs::names::kProcUtimeSeconds, obs::names::kProcStimeSeconds,
+            obs::names::kProcOpenFds}) {
         obs::gauge(name);
       }
       sampler_.start();
@@ -99,32 +97,13 @@ class ObsScope {
   ObsScope(const ObsScope&) = delete;
   ObsScope& operator=(const ObsScope&) = delete;
 
-  /// Whether the shared observability flags enabled metrics collection.
-  [[nodiscard]] bool metrics_on() const {
-    return !metrics_path_.empty() || trace_;
-  }
-
-  /// Switches the destructor from the single-process v1 report to the
-  /// merged cross-process "sgp-obs-report v2": live coordinator state plus
-  /// every worker sidecar under `sidecar_prefix` (obs/aggregate.hpp).
-  /// JSON format only; --metrics-format prometheus keeps the local
-  /// registry view.
-  void set_distributed_merge(std::string sidecar_prefix,
-                             std::string trace_id) {
-    merge_prefix_ = std::move(sidecar_prefix);
-    merge_trace_id_ = std::move(trace_id);
-  }
-
   ~ObsScope() {
     sampler_.stop();
     if (trace_) {
       std::fprintf(stderr, "--- trace (%s) ---\n", tool_name_.c_str());
       obs::write_trace_text(std::cerr);
     }
-    if (metrics_path_.empty()) {
-      obs::close_sidecar();
-      return;
-    }
+    if (metrics_path_.empty()) return;
     try {
       if (prometheus_) {
         std::ofstream out(metrics_path_, std::ios::binary | std::ios::trunc);
@@ -136,15 +115,7 @@ class ObsScope {
         if (!out.good()) {
           throw util::IoError("failed writing " + metrics_path_);
         }
-        obs::close_sidecar();
-      } else if (!merge_prefix_.empty()) {
-        // The sidecar must be closed (final flush) before the merge reads
-        // live state and deletes the consumed files.
-        obs::close_sidecar();
-        obs::write_merged_report_file(metrics_path_, tool_name_,
-                                      merge_prefix_, merge_trace_id_);
       } else {
-        obs::close_sidecar();
         obs::Report(tool_name_).write_file(metrics_path_);
       }
       std::fprintf(stderr, "metrics written to %s\n", metrics_path_.c_str());
@@ -158,8 +129,6 @@ class ObsScope {
   std::string metrics_path_;
   bool prometheus_;
   bool trace_;
-  std::string merge_prefix_;
-  std::string merge_trace_id_;
   obs::ResourceSampler sampler_;
 };
 
